@@ -43,7 +43,6 @@ from .errors import (
     CavlinkError,
     ConfigError,
     InvalidInputError,
-    NoSolutionError,
     PeakAmbiguityError,
     TraceParseError,
     WindowTooNarrowError,
@@ -488,9 +487,6 @@ def run(argv=None) -> int:
     except TraceParseError as exc:
         print(f"cavlink: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ConfigError, InvalidInputError, NoSolutionError) as exc:
-        print(f"cavlink: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except CavlinkError as exc:
         print(f"cavlink: {exc}", file=sys.stderr)
         return EXIT_CONFIG

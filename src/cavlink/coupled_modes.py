@@ -328,15 +328,57 @@ def mode_matrix(params: SystemParams) -> np.ndarray:
     )
 
 
+def _mode_solve(a, d, g):
+    """Closed-form eigen-solve of [[a, g], [g, d]], broadcasting over arrays.
+
+    ``a`` and ``d`` are the complex cavity and LC diagonals and ``g >= 0``
+    the real coupling; none may be subnormal. The eigenvalues are
+
+        lam = (a + d)/2 +/- sqrt(((a - d)/2)^2 + g^2)
+
+    with eigenvectors (lam - d, g). With h = (a - d)/2 and the root s taken
+    aligned with h, r = h + s has no cancellation, and the two eigenvalues
+    are d + r = a + g^2/r and d - g^2/r: each a bare value plus an accurately
+    computed pull. The aligned branch has the larger cavity weight
+    |lam - d|^2 / (|lam - d|^2 + g^2), since |r| >= g; the weights sum to 1.
+
+    Returns ``(lam_cav, lam_lc, cavity_weight)``; the weight is 0.5 at a
+    symmetric crossing and 1 when g = 0.
+    """
+    h = 0.5 * (a - d)
+    # Work in units of m = max(|h|, g) so that no square under- or overflows.
+    # Then |r / m| >= 1 whenever g > 0, and r / m is 0 only when g = h = 0.
+    # Guards add booleans (1 where true) rather than branching, so that the
+    # same code serves scalars and arrays without wrapping scalars in arrays.
+    m = np.maximum(abs(h), g)
+    m = m + (m == 0.0)
+    hm, gm = h / m, g / m
+    sm = np.sqrt(hm * hm + gm * gm)
+    sm = sm * (1 - 2 * (hm.real * sm.real + hm.imag * sm.imag < 0.0))
+    ratio = gm / (hm + sm + (g == 0.0))  # g / r, at most 1 in magnitude
+    pull = -g * ratio
+    return a - pull, d + pull, 1.0 / (1.0 + abs(ratio) ** 2)
+
+
+def _mode_diagonal(params: SystemParams):
+    """Diagonal of :func:`mode_matrix`: the bare complex cavity and LC modes."""
+    return (
+        complex(params.omega_cav, -0.5 * params.kappa_cav_tot),
+        complex(params.omega_lc, -0.5 * params.kappa_lc_bare),
+    )
+
+
 def hybridized_eigenvalues(params: SystemParams):
     """Both complex eigenvalues of :func:`mode_matrix`, higher real part first.
 
     Available even when branch labeling is ambiguous (exact 50/50
     hybridization), where :func:`dressed_modes` refuses to assign names.
     """
-    lam = np.linalg.eigvals(mode_matrix(params))
-    order = np.argsort(lam.real)[::-1]
-    return complex(lam[order[0]]), complex(lam[order[1]])
+    lam_cav, lam_lc, _ = _mode_solve(*_mode_diagonal(params), params.g)
+    upper, lower = complex(lam_cav), complex(lam_lc)
+    if lower.real > upper.real:
+        upper, lower = lower, upper
+    return upper, lower
 
 
 @dataclass(frozen=True)
@@ -359,12 +401,12 @@ class DressedModes:
 def dressed_modes(params: SystemParams) -> DressedModes:
     """Dressed modes of the coupled system with branch assignment.
 
-    Eigenvalues and eigenvectors of :func:`mode_matrix` are computed; the
-    branch whose eigenvector has the larger |cavity component|^2 is labeled
-    cavity-like, the other LC-like. In the dispersive regime the LC branch
-    is pulled by approximately -g^2/delta (and the cavity branch by
-    +g^2/delta), so ``delta_eff`` differs from the bare detuning by about
-    2 g^2 / delta_bare.
+    Eigenvalues and eigenvectors of :func:`mode_matrix` are evaluated in
+    closed form; the branch whose eigenvector has the larger |cavity
+    component|^2 is labeled cavity-like, the other LC-like. In the dispersive
+    regime the LC branch is pulled by approximately -g^2/delta (and the cavity
+    branch by +g^2/delta), so ``delta_eff`` differs from the bare detuning by
+    about 2 g^2 / delta_bare.
 
     Raises
     ------
@@ -380,20 +422,19 @@ def dressed_modes(params: SystemParams) -> DressedModes:
             kappa_lc=params.kappa_lc_bare,
             cavity_weight=1.0,
         )
-    lam, vecs = np.linalg.eig(mode_matrix(params))
-    weights = np.abs(vecs[0, :]) ** 2 / np.sum(np.abs(vecs) ** 2, axis=0)
-    if abs(weights[0] - weights[1]) < 1e-9:
+    lam_cav, lam_lc, weight = _mode_solve(*_mode_diagonal(params), params.g)
+    weight = float(weight)
+    # the LC-like branch carries the complementary weight 1 - weight
+    if weight - (1.0 - weight) < 1e-9:
         raise BranchAssignmentError(
             "eigenvectors hybridize 50/50; cavity/LC branches cannot be assigned"
         )
-    cav = int(np.argmax(weights))
-    lc = 1 - cav
     return DressedModes(
-        omega_cav=float(lam[cav].real),
-        kappa_cav=float(-2.0 * lam[cav].imag),
-        omega_lc=float(lam[lc].real),
-        kappa_lc=float(-2.0 * lam[lc].imag),
-        cavity_weight=float(weights[cav]),
+        omega_cav=float(lam_cav.real),
+        kappa_cav=float(-2.0 * lam_cav.imag),
+        omega_lc=float(lam_lc.real),
+        kappa_lc=float(-2.0 * lam_lc.imag),
+        cavity_weight=weight,
     )
 
 

@@ -9,14 +9,12 @@ reports; the underlying physics stays in rad/s via :mod:`cavlink.coupled_modes`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-
-from scipy.optimize import brentq
 
 from .coupled_modes import (
     DerivedRates,
     SystemParams,
-    dressed_modes,
     effective_rates,
     resolved_sideband_ratio,
     DEFAULT_SIDEBAND_THRESHOLD,
@@ -179,38 +177,28 @@ def with_dressed_detuning(base: SystemParams, delta_eff_hz: float) -> SystemPara
     """Return a copy of ``base`` with omega_cav set so the dressed detuning
     (cavity minus LC dressed frequency) equals ``delta_eff_hz``.
 
-    The dressed detuning exceeds the bare one by the repulsion of the two
-    modes, so targets below the minimum splitting are unreachable and raise
+    The dressed detuning T is twice the real part of the eigenvalue
+    discriminant sqrt(((a - d)/2)^2 + g^2) of the mode matrix, which inverts
+    exactly for the bare detuning Delta = omega_cav - omega_lc:
+
+        Delta^2 = (T^2/4 + dk^2/16 - g^2) / (1/4 + dk^2 / (16 T^2)),
+
+    with dk = kappa_cav_tot - kappa_lc_bare. The dressed detuning exceeds the
+    bare one by the repulsion of the two modes, so targets at or below the
+    minimum splitting 2 sqrt(g^2 - dk^2/16) are unreachable and raise
     NoSolutionError.
     """
-    if not delta_eff_hz > 0.0:
-        raise InvalidInputError("delta_eff_hz must be positive")
+    if not (delta_eff_hz > 0.0 and math.isfinite(delta_eff_hz)):
+        raise InvalidInputError("delta_eff_hz must be positive and finite")
     target = hz_to_angular(delta_eff_hz)
-
-    def gap(delta_bare):
-        p = base.replace(omega_cav=base.omega_lc + delta_bare)
-        return dressed_modes(p).delta_eff - target
-
-    lo = max(target * 1e-3, 1.0)
-    try:
-        if gap(lo) > 0.0:
-            raise NoSolutionError(
-                f"dressed detuning of {delta_eff_hz} Hz is below the minimum "
-                "mode splitting for these parameters"
-            )
-    except BranchAssignmentError:
-        lo = 2.0 * lo
-        if gap(lo) > 0.0:
-            raise NoSolutionError(
-                f"dressed detuning of {delta_eff_hz} Hz is below the minimum "
-                "mode splitting for these parameters"
-            ) from None
-    hi = max(2.0 * target, lo * 4.0)
-    while gap(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e3 * max(target, base.omega_lc):
-            raise NoSolutionError("dressed detuning target is unreachable")
-    delta_bare = brentq(gap, lo, hi, xtol=1e-6, rtol=1e-15)
+    dk = base.kappa_cav_tot - base.kappa_lc_bare
+    numerator = 0.25 * target**2 + dk**2 / 16.0 - base.g**2
+    if numerator <= 0.0:
+        raise NoSolutionError(
+            f"dressed detuning of {delta_eff_hz} Hz is below the minimum "
+            "mode splitting for these parameters"
+        )
+    delta_bare = math.sqrt(numerator / (0.25 + dk**2 / (16.0 * target**2)))
     return base.replace(omega_cav=base.omega_lc + delta_bare)
 
 

@@ -216,13 +216,15 @@ def multi_mode_omit(params, modes, couplings, pump, freqs) -> ComplexTrace:
                     stacklevel=2,
                 )
 
-    shifted = pumped_lc_params(params, pump)
-    omega_lc_eff = dressed_modes(shifted).omega_lc
+    omega_lc_eff = shifted_lc_frequency(
+        params, lc_shift=pump.lc_shift, lc_extra_loss=pump.lc_extra_loss
+    )
     if pump.omega_pump >= omega_lc_eff:
         raise InvalidInputError(
             "pump must be red-detuned: omega_pump is at or above the "
             "pump-shifted LC resonance"
         )
+    shifted = pumped_lc_params(params, pump)
     kappa_lc_tot = effective_rates(shifted).kappa_lc_tot
     for i, mode in enumerate(modes):
         if abs(pump.omega_pump - (omega_lc_eff - mode.omega_m)) >= kappa_lc_tot:

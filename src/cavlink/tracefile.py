@@ -177,7 +177,7 @@ def read_trace(path) -> ComplexTrace:
 def load_config(path) -> configparser.ConfigParser:
     """Read an INI config; syntax errors become ConfigError. Missing files
     raise FileNotFoundError (an I/O problem, not a config problem)."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         with open(path, "r") as handle:
             parser.read_file(handle, source=str(path))

@@ -346,3 +346,19 @@ class TestEntryPoint:
         assert proc.returncode == 0
         for word in ("simulate", "fit", "sweep", "omit"):
             assert word in proc.stdout
+
+    def test_no_scipy_import(self, tmp_path):
+        # The model is closed-form 2x2 algebra on numpy; a stray scipy import
+        # would add most of a second to every CLI start.
+        cfg = write_ini(tmp_path, "[sweep]\nfield = omega_cav\nvalues_hz = 7.2e9, 7.5e9\n")
+        script = (
+            "import sys, cavlink, cavlink.cli\n"
+            f"rc = cavlink.cli.run(['sweep', '--config', {cfg!r}, '--out', "
+            f"{str(tmp_path / 'sweep.csv')!r}, '--preset', 'hat270'])\n"
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split(None, 1) == ["0", "[]\n"]

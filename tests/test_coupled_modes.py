@@ -346,3 +346,119 @@ class TestPassivityReciprocity:
                 angular_to_hz(p.omega_lc) - 1e9, angular_to_hz(p.omega_cav) + 1e9, 401
             )
             assert np.array_equal(s21(p, grid).values, s21(swapped, grid).values)
+
+
+# -- closed-form 2x2 solve against the general eigensolver -------------------
+
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+# Subnormal rates (below 2.2e-308 rad/s) lie outside the supported domain.
+_omegas = st.floats(1e10, 1e11)
+_rates = st.floats(0.0, 2e9, allow_subnormal=False) | st.just(0.0)
+_couplings = st.floats(0.0, 5e8, allow_subnormal=False) | st.just(0.0)
+# bare detuning omega_cav - omega_lc: generic, near the crossing, or exactly on it
+_detunings = (
+    st.floats(-5e9, 5e9, allow_subnormal=False)
+    | st.floats(-1e3, 1e3, allow_subnormal=False)
+    | st.just(0.0)
+)
+
+
+@st.composite
+def mode_params(draw):
+    omega_lc = draw(_omegas)
+    return SystemParams(
+        omega_cav=omega_lc + draw(_detunings),
+        omega_lc=omega_lc,
+        kappa_cav_1=draw(_rates),
+        kappa_cav_2=draw(_rates),
+        kappa_cav_loss=draw(_rates),
+        kappa_lc_bare=draw(_rates),
+        g=draw(_couplings),
+    )
+
+
+def eig_reference(p):
+    """Eigenvalues and cavity weights of mode_matrix(p) from np.linalg.eig.
+
+    eig solves the matrix shifted by -omega_lc (same eigenvectors), so its
+    backward error scales with the detuning, rates and coupling rather than
+    with the ~1e10 rad/s carrier frequency. Its eigenvector error still
+    grows as |A| / |lam_1 - lam_2|; the neighbourhood of the exceptional
+    point, where that ratio diverges and neither solver's last digits mean
+    anything, is skipped.
+    """
+    matrix = mode_matrix(p) - p.omega_lc * np.eye(2)
+    lam, vecs = np.linalg.eig(matrix)
+    weights = np.abs(vecs[0, :]) ** 2 / np.sum(np.abs(vecs) ** 2, axis=0)
+    assume(p.g == 0.0 or abs(lam[0] - lam[1]) > 1e-3 * np.max(np.abs(matrix)))
+    return lam + p.omega_lc, weights
+
+
+class TestClosedFormMatchesEig:
+    @settings(max_examples=400, deadline=None)
+    @given(mode_params())
+    def test_eigenvalues(self, p):
+        lam, _ = eig_reference(p)
+        upper, lower = hybridized_eigenvalues(p)
+        ref = sorted(lam, key=lambda z: -z.real)
+        # equal real parts leave the order to rounding; pair by distance then
+        if abs(ref[0].real - ref[1].real) <= 1e-12 * abs(ref[0]):
+            ref = sorted(ref, key=lambda z: abs(z - upper))
+        assert abs(upper - ref[0]) <= 1e-12 * abs(ref[0])
+        assert abs(lower - ref[1]) <= 1e-12 * abs(ref[1])
+
+    @settings(max_examples=400, deadline=None)
+    @given(mode_params())
+    def test_branch_labels_weights_and_ambiguity(self, p):
+        assume(p.g > 0.0)  # dressed_modes returns the bare modes without solving
+        lam, weights = eig_reference(p)
+        gap = abs(weights[0] - weights[1])
+        # rounding decides draws sitting on the 1e-9 threshold itself
+        assume(abs(gap - 1e-9) > 1e-12)
+        if gap < 1e-9:
+            with pytest.raises(BranchAssignmentError):
+                dressed_modes(p)
+            return
+        m = dressed_modes(p)
+        cav = int(np.argmax(weights))
+        lam_cav = complex(m.omega_cav, -0.5 * m.kappa_cav)
+        lam_lc = complex(m.omega_lc, -0.5 * m.kappa_lc)
+        assert abs(lam_cav - lam[cav]) <= 1e-12 * abs(lam[cav])
+        assert abs(lam_lc - lam[1 - cav]) <= 1e-12 * abs(lam[1 - cav])
+        assert m.cavity_weight == pytest.approx(weights[cav], rel=1e-12)
+
+    def test_solver_broadcasts_like_scalar_calls(self, rng):
+        from cavlink.coupled_modes import _mode_diagonal, _mode_solve
+
+        draws = [random_params(rng) for _ in range(8)]
+        draws += [reference_params(g=0.0), reference_params(delta_bare_hz=0.0)]
+        diag = np.array([_mode_diagonal(p) for p in draws])
+        g = np.array([p.g for p in draws])
+        batch = _mode_solve(diag[:, 0], diag[:, 1], g)
+        # array loops may round the last bit differently from scalar ops
+        eps = np.finfo(float).eps
+        for i, p in enumerate(draws):
+            single = _mode_solve(*_mode_diagonal(p), p.g)
+            for got, want in zip(batch, single):
+                assert abs(got[i] - want) <= 4 * eps * abs(want)
+
+    def test_exact_crossing_is_ambiguous(self):
+        # equal bare frequencies with g above |kappa_cav_tot - kappa_lc_bare|/4:
+        # both eigenvectors are exactly 50/50
+        p = reference_params(delta_bare_hz=0.0)
+        assert p.g > abs(p.kappa_cav_tot - p.kappa_lc_bare) / 4
+        with pytest.raises(BranchAssignmentError):
+            dressed_modes(p)
+        upper, lower = hybridized_eigenvalues(p)
+        assert upper.imag == pytest.approx(lower.imag, rel=1e-12)
+
+    def test_dispersive_pulls_keep_relative_accuracy(self):
+        # far detuned, the LC linewidth is a tiny imaginary part next to
+        # |lam| ~ 1e11; the closed form keeps it to near machine precision
+        p = reference_params(delta_bare_hz=20e9, kappa_lc_bare=0.0)
+        m = dressed_modes(p)
+        delta = p.omega_cav - p.omega_lc
+        pull = p.g**2 * p.kappa_cav_tot / (delta**2 + (0.5 * p.kappa_cav_tot) ** 2)
+        assert m.kappa_lc == pytest.approx(pull, rel=1e-3)
+        assert m.kappa_cav + m.kappa_lc == pytest.approx(p.kappa_cav_tot, rel=1e-12)

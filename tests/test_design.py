@@ -206,3 +206,89 @@ class TestPresets:
         assert DESIGN_PRESET.kappa_cav_2 == 0.0
         assert DESIGN_PRESET.kappa_cav_loss == 0.0
         assert DESIGN_PRESET.g == TWO_PI * 60e6
+
+
+# -- closed-form inverse of the dressed detuning ------------------------------
+
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+
+@st.composite
+def design_points(draw):
+    """Parameters in Hz-scale ranges plus a target dressed detuning (Hz)."""
+    base = SystemParams.from_hz(
+        omega_cav=7.5e9,
+        omega_lc=draw(st.floats(4e9, 10e9)),
+        kappa_cav_1=draw(st.floats(1e6, 400e6)),
+        kappa_cav_2=draw(st.floats(0.0, 50e6)),
+        kappa_cav_loss=draw(st.floats(0.0, 50e6)),
+        kappa_lc_bare=draw(st.just(0.0) | st.floats(0.0, 5e6)),
+        g=draw(st.floats(1e6, 150e6)),
+    )
+    return base, draw(st.floats(1e6, 3e9))
+
+
+def minimum_splitting_hz(p):
+    """2 sqrt(g^2 - dk^2/16), or 0 when the modes never cross (dk/4 >= g)."""
+    dk = p.kappa_cav_tot - p.kappa_lc_bare
+    return angular_to_hz(2.0 * np.sqrt(max(p.g**2 - dk**2 / 16.0, 0.0)))
+
+
+def detuning_sensitivity(p):
+    """dT/dDelta of the dressed detuning T against the bare one, at p.
+
+    From implicit differentiation of the inverse relation
+    T^2/4 + dk^2/16 - g^2 = Delta^2 (1/4 + dk^2 / (16 T^2)).
+    """
+    dk2 = (p.kappa_cav_tot - p.kappa_lc_bare) ** 2
+    delta = p.omega_cav - p.omega_lc
+    t = dressed_modes(p).delta_eff
+    return 2.0 * delta * (0.25 + dk2 / (16.0 * t**2)) / (
+        0.5 * t + delta**2 * dk2 / (8.0 * t**3)
+    )
+
+
+class TestDressedDetuningInverse:
+    @settings(max_examples=300, deadline=None)
+    @given(design_points())
+    def test_round_trip_through_dressed_modes(self, point):
+        base, target = point
+        if target <= minimum_splitting_hz(base) * (1.0 + 1e-9):
+            return  # unreachable or on the edge; see the next test
+        p = with_dressed_detuning(base, target)
+        # omega_cav is stored to within half an ulp; where T is so sensitive
+        # to the bare detuning that this alone exceeds 1e-13 relative (tiny
+        # targets next to the exceptional point), no inverse can do better
+        error = detuning_sensitivity(p) * np.spacing(p.omega_cav)
+        assume(error < 1e-13 * hz_to_angular(target))
+        assert p.omega_cav > p.omega_lc
+        assert angular_to_hz(dressed_modes(p).delta_eff) == pytest.approx(target, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(design_points(), st.floats(-1e-6, 1e-6))
+    def test_no_solution_exactly_below_minimum_splitting(self, point, offset):
+        base, _ = point
+        edge = minimum_splitting_hz(base)
+        target = edge * (1.0 + offset)
+        if not target > 0.0 or abs(offset) < 1e-12:
+            return  # rounding decides targets on the edge itself
+        if target < edge:
+            with pytest.raises(NoSolutionError, match="minimum"):
+                with_dressed_detuning(base, target)
+        else:
+            with_dressed_detuning(base, target)
+
+    def test_non_finite_target_rejected(self):
+        for bad in (float("inf"), float("nan"), 0.0):
+            with pytest.raises(InvalidInputError, match="positive"):
+                with_dressed_detuning(DESIGN_PRESET, bad)
+
+    def test_matches_minimum_splitting_of_hat_presets(self):
+        # hat presets sit above the exceptional point: the crossing gap is
+        # 2 sqrt(g^2 - dk^2/16), about 78.9 MHz for g = 57 MHz
+        p = HAT_PRESETS["hat270"]
+        edge = minimum_splitting_hz(p)
+        assert edge == pytest.approx(78.93e6, rel=1e-3)
+        with pytest.raises(NoSolutionError):
+            with_dressed_detuning(p, edge * (1 - 1e-9))
+        assert with_dressed_detuning(p, edge * 1.01).omega_cav > p.omega_lc

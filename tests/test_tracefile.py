@@ -175,6 +175,23 @@ class TestConfig:
         cp = load_config(self.write(tmp_path, "[params]\ng_hz = 57e6  # published\n"))
         assert config_float(cp, "params", "g_hz") == 57e6
 
+    def test_readme_config_blocks_load_verbatim(self, tmp_path):
+        # The README's examples use `;` comments, both on their own and after
+        # values; every block must load with the comments stripped.
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as handle:
+            blocks = handle.read().split("```ini\n")[1:]
+        assert len(blocks) == 5
+        for block in blocks:
+            cp = load_config(self.write(tmp_path, block.split("```")[0]))
+            for section in cp.sections():
+                for key, value in cp.items(section):
+                    assert ";" not in value, f"{section}.{key} = {value!r}"
+        shared = load_config(self.write(tmp_path, blocks[0].split("```")[0]))
+        assert config_float(shared, "params", "omega_cav_hz") == 7.52e9
+        assert config_float(shared, "params", "g_hz") == 57e6
+        assert config_int(shared, "grid", "points") == 801
+
     def test_syntax_error(self, tmp_path):
         path = self.write(tmp_path, "not an ini file at all\n")
         with pytest.raises(ConfigError, match="run.ini"):
