@@ -283,7 +283,7 @@ class TestDressedDetuningInverse:
             with pytest.raises(InvalidInputError, match="positive"):
                 with_dressed_detuning(DESIGN_PRESET, bad)
 
-    def test_matches_minimum_splitting_of_hat_presets(self):
+    def test_targets_either_side_of_the_hat_minimum_splitting(self):
         # hat presets sit above the exceptional point: the crossing gap is
         # 2 sqrt(g^2 - dk^2/16), about 78.9 MHz for g = 57 MHz
         p = HAT_PRESETS["hat270"]
@@ -291,4 +291,9 @@ class TestDressedDetuningInverse:
         assert edge == pytest.approx(78.93e6, rel=1e-3)
         with pytest.raises(NoSolutionError):
             with_dressed_detuning(p, edge * (1 - 1e-9))
-        assert with_dressed_detuning(p, edge * 1.01).omega_cav > p.omega_lc
+        # just above the edge the bare detuning is tiny (~24 kHz) but exists
+        near = with_dressed_detuning(p, edge * (1 + 1e-7))
+        assert 0.0 < angular_to_hz(near.omega_cav - near.omega_lc) < 1e5
+        assert angular_to_hz(dressed_modes(near).delta_eff) == pytest.approx(
+            edge * (1 + 1e-7), rel=1e-12
+        )
