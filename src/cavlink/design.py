@@ -185,14 +185,17 @@ def with_dressed_detuning(base: SystemParams, delta_eff_hz: float) -> SystemPara
 
     with dk = kappa_cav_tot - kappa_lc_bare. The dressed detuning exceeds the
     bare one by the repulsion of the two modes, so targets at or below the
-    minimum splitting 2 sqrt(g^2 - dk^2/16) are unreachable and raise
-    NoSolutionError.
+    minimum splitting 2 sqrt((g - |dk|/4)(g + |dk|/4)) are unreachable and
+    raise NoSolutionError.
     """
     if not (delta_eff_hz > 0.0 and math.isfinite(delta_eff_hz)):
         raise InvalidInputError("delta_eff_hz must be positive and finite")
     target = hz_to_angular(delta_eff_hz)
     dk = base.kappa_cav_tot - base.kappa_lc_bare
-    numerator = 0.25 * target**2 + dk**2 / 16.0 - base.g**2
+    # g^2 - dk^2/16 as a product: near the exceptional point (g ~ |dk|/4) the
+    # expanded form cancels to rounding noise of g^2 and misjudges the edge
+    quarter = abs(dk) / 4.0
+    numerator = 0.25 * target**2 - (base.g - quarter) * (base.g + quarter)
     if numerator <= 0.0:
         raise NoSolutionError(
             f"dressed detuning of {delta_eff_hz} Hz is below the minimum "

@@ -210,7 +210,7 @@ class TestPresets:
 
 # -- closed-form inverse of the dressed detuning ------------------------------
 
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 
 @st.composite
@@ -230,8 +230,9 @@ def design_points(draw):
 
 def minimum_splitting_hz(p):
     """2 sqrt(g^2 - dk^2/16), or 0 when the modes never cross (dk/4 >= g)."""
-    dk = p.kappa_cav_tot - p.kappa_lc_bare
-    return angular_to_hz(2.0 * np.sqrt(max(p.g**2 - dk**2 / 16.0, 0.0)))
+    quarter = abs(p.kappa_cav_tot - p.kappa_lc_bare) / 4.0
+    gap2 = (p.g - quarter) * (p.g + quarter)  # factored: exact near dk/4 ~ g
+    return angular_to_hz(2.0 * np.sqrt(max(gap2, 0.0)))
 
 
 def detuning_sensitivity(p):
@@ -266,6 +267,21 @@ class TestDressedDetuningInverse:
 
     @settings(max_examples=300, deadline=None)
     @given(design_points(), st.floats(-1e-6, 1e-6))
+    @example(  # g within rounding of |dk|/4: a 0.16 Hz edge, 1e15 (rad/s)^2 terms
+        (
+            SystemParams(
+                omega_cav=47123889803.84689,
+                omega_lc=25132741228.718346,
+                kappa_cav_1=6283185.307179586,
+                kappa_cav_2=6.283185307179586,
+                kappa_cav_loss=135344699.83481726,
+                kappa_lc_bare=15964185.281590441,
+                g=31415926.535897933,
+            ),
+            1e6,
+        ),
+        6.685787928584376e-07,
+    )
     def test_no_solution_exactly_below_minimum_splitting(self, point, offset):
         base, _ = point
         edge = minimum_splitting_hz(base)
