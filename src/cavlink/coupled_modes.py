@@ -245,43 +245,102 @@ def _probe_angular(freqs) -> np.ndarray:
     return TWO_PI * f
 
 
-def _lc_inverse_bare(params: SystemParams, om: np.ndarray) -> np.ndarray:
+def _lc_inverse_bare(omega_lc: float, kappa_lc_bare: float, om: np.ndarray) -> np.ndarray:
     # 1/chi of the bare LC mode; zeros mark the lossless-on-resonance points.
-    return 1j * (params.omega_lc - om) + 0.5 * params.kappa_lc_bare
+    return 1j * (omega_lc - om) + 0.5 * kappa_lc_bare
 
 
-def _denominator(params: SystemParams, om: np.ndarray, lc_inverse: np.ndarray):
-    """Cavity response denominator D(omega) and the LC-shorted point mask.
+def _theta(params: SystemParams) -> tuple:
+    """The seven fields of ``params`` as plain floats, in PARAM_FIELDS order."""
+    return tuple(getattr(params, name) for name in PARAM_FIELDS)
 
-    D(omega) = i(omega_cav - omega) + kappa_cav_tot/2 + g^2 / lc_inverse.
-    Where ``lc_inverse`` vanishes (lossless LC driven exactly on resonance)
-    the LC term diverges: D -> inf, so S21 -> 0 and S11 -> 1. Those points
-    are excluded from D and returned in the mask instead.
+
+def _scattering(om, theta, kind, free=(), lc_inverse=None):
+    """The model kernel: S21 or S11 on raw arrays, optionally with dS/dtheta.
+
+    ``om`` holds angular probe frequencies and ``theta`` the seven parameters
+    as plain floats in PARAM_FIELDS order; callers validate both. With
+
+        D(omega) = i(omega_cav - omega) + kappa_cav_tot/2 + g^2 / L(omega),
+        L(omega) = i(omega_lc - omega) + kappa_lc_bare/2,
+
+    S21 = sqrt(kappa_cav_1 kappa_cav_2) / D and S11 = 1 - kappa_cav_1 / D.
+    ``lc_inverse`` replaces L (electromechanics adds mechanical self-energies
+    to it); it must still depend on omega_lc and kappa_lc_bare only through
+    the bare terms. Where L vanishes (lossless LC driven exactly on
+    resonance) D -> inf, so S21 -> 0 and S11 -> 1.
+
+    ``free`` lists indices into PARAM_FIELDS. When it is non-empty the kernel
+    returns ``(values, jac)`` with ``jac[:, k] = dS/dtheta[free[k]]``, from
+    q = 1/D and u = g q / L = g / (L C + g^2), where C = D - g^2/L is the
+    bare cavity term:
+
+        dq/domega_cav = -i q^2,   dq/dkappa_cav_{1,2,loss} = -q^2 / 2,
+        dq/domega_lc  = +i u^2,   dq/dkappa_lc_bare = u^2 / 2,   dq/dg = -2 q u,
+
+    which stay finite where L vanishes. Otherwise it returns the values.
+
+    Raises
+    ------
+    SingularResponseError
+        If D vanishes at a probe point (lossless system on a normal mode).
     """
-    if params.g == 0.0:
-        shorted = np.zeros(om.shape, dtype=bool)
-        lc_term = 0.0
+    omega_cav, omega_lc, k1, k2, k_loss, k_lc, g = theta
+    if lc_inverse is None:
+        lc_inverse = _lc_inverse_bare(omega_lc, k_lc, om)
+    cavity = 1j * (omega_cav - om) + 0.5 * (k1 + k2 + k_loss)
+    if g == 0.0:
+        live = np.ones(om.shape, dtype=bool)
+        d = cavity
     else:
-        shorted = lc_inverse == 0.0
-        lc_term = np.where(shorted, 0.0, params.g**2 / np.where(shorted, 1.0, lc_inverse))
-    d = 1j * (params.omega_cav - om) + 0.5 * params.kappa_cav_tot + lc_term
-    if np.any(d[~shorted] == 0.0):
+        live = lc_inverse != 0.0  # False where the LC shorts the cavity
+        d = cavity + np.divide(g**2, lc_inverse, out=np.zeros_like(cavity), where=live)
+    if np.any((d == 0.0) & live):
         raise SingularResponseError(
             "lossless coupled system driven exactly on a normal mode"
         )
-    return d, shorted
+    if kind is TraceKind.S21:
+        amp = np.sqrt(k1 * k2)
+        values = np.divide(amp, d, out=np.zeros_like(d), where=live)
+    else:
+        values = 1.0 - np.divide(k1, d, out=np.zeros_like(d), where=live)
+    if not free:
+        return values
+
+    q = np.divide(1.0, d, out=np.zeros_like(d), where=live)
+    u = g / (lc_inverse * cavity + g * g) if g != 0.0 else 0.0
+    # S = prefactor * q (+ 1 for S11), so dS/dtheta = prefactor * dq/dtheta
+    # plus the prefactor's own derivative times q.
+    if kind is TraceKind.S21:
+        prefactor = amp
+        own = {2: _root_slope(k1, k2), 3: _root_slope(k2, k1)}
+    else:
+        prefactor = -k1
+        own = {2: -1.0}
+    pq2, pu2 = prefactor * q * q, prefactor * u * u
+    rate = -0.5 * pq2
+    # prefactor * dq/dtheta in PARAM_FIELDS order
+    dq = (-1j * pq2, 1j * pu2, rate, rate, rate, 0.5 * pu2, -2.0 * prefactor * q * u)
+    jac = np.empty((len(free), om.size), dtype=complex)
+    for row, index in enumerate(free):
+        jac[row] = dq[index]
+        if index in own:
+            jac[row] += own[index] * q
+    return values, jac.T
 
 
-def _transmission_values(params, om, lc_inverse) -> np.ndarray:
-    d, shorted = _denominator(params, om, lc_inverse)
-    amp = np.sqrt(params.kappa_cav_1 * params.kappa_cav_2)
-    return np.where(shorted, 0.0, amp / np.where(shorted, 1.0, d))
+def _root_slope(k: float, other: float) -> float:
+    """d sqrt(k * other) / dk for rates k, other >= 0.
 
-
-def _reflection_values(params, om, lc_inverse) -> np.ndarray:
-    d, shorted = _denominator(params, om, lc_inverse)
-    vals = 1.0 - params.kappa_cav_1 / np.where(shorted, 1.0, d)
-    return np.where(shorted, 1.0, vals)
+    The slope is infinite at k = 0 < other. There the secant over
+    [0, 1e-6] rad/s stands in, so that a fit starting on that bound gets a
+    finite Jacobian column.
+    """
+    if other == 0.0:
+        return 0.0
+    if k == 0.0:
+        return float(np.sqrt(other / 1e-6))
+    return 0.5 * float(np.sqrt(other / k))
 
 
 def s21(params: SystemParams, freqs) -> ComplexTrace:
@@ -295,8 +354,7 @@ def s21(params: SystemParams, freqs) -> ComplexTrace:
     The LC mode appears as a narrow feature riding on the broad cavity peak;
     with a lossless LC the transmission has an exact null at omega_lc.
     """
-    om = _probe_angular(freqs)
-    vals = _transmission_values(params, om, _lc_inverse_bare(params, om))
+    vals = _scattering(_probe_angular(freqs), _theta(params), TraceKind.S21)
     return ComplexTrace(freqs, vals, TraceKind.S21)
 
 
@@ -307,8 +365,7 @@ def s11(params: SystemParams, freqs) -> ComplexTrace:
     A single-port critically coupled bare cavity (kappa_cav_1 = kappa_cav_tot)
     reflects -1 on resonance; far off resonance S11 -> 1.
     """
-    om = _probe_angular(freqs)
-    vals = _reflection_values(params, om, _lc_inverse_bare(params, om))
+    vals = _scattering(_probe_angular(freqs), _theta(params), TraceKind.S11)
     return ComplexTrace(freqs, vals, TraceKind.S11)
 
 

@@ -25,7 +25,8 @@ from .coupled_modes import (
     TraceKind,
     _lc_inverse_bare,
     _probe_angular,
-    _reflection_values,
+    _scattering,
+    _theta,
     dressed_modes,
     effective_rates,
     resolved_sideband_ratio,
@@ -237,7 +238,7 @@ def multi_mode_omit(params, modes, couplings, pump, freqs) -> ComplexTrace:
             )
 
     om = _probe_angular(freqs)
-    lc_inverse = _lc_inverse_bare(shifted, om)
+    lc_inverse = _lc_inverse_bare(shifted.omega_lc, shifted.kappa_lc_bare, om)
     for mode, coupling in zip(modes, couplings):
         if coupling == 0.0:
             continue
@@ -247,7 +248,7 @@ def multi_mode_omit(params, modes, couplings, pump, freqs) -> ComplexTrace:
                 "probe grid hits an undamped mechanical sideband exactly"
             )
         lc_inverse = lc_inverse + coupling**2 / den
-    vals = _reflection_values(shifted, om, lc_inverse)
+    vals = _scattering(om, _theta(shifted), TraceKind.S11, lc_inverse=lc_inverse)
     return ComplexTrace(freqs, vals, TraceKind.S11)
 
 
@@ -274,5 +275,5 @@ def transparency_signal(params, modes, couplings, pump, freqs) -> ComplexTrace:
     on = multi_mode_omit(params, modes, couplings, pump, freqs)
     shifted = pumped_lc_params(params, pump)
     om = _probe_angular(freqs)
-    off = _reflection_values(shifted, om, _lc_inverse_bare(shifted, om))
+    off = _scattering(om, _theta(shifted), TraceKind.S11)
     return ComplexTrace(freqs, np.abs(on.values - off) ** 2, TraceKind.POWER)

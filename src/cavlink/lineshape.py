@@ -16,12 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupled_modes import (
+    FREQUENCY_FIELDS,
     PARAM_FIELDS,
     ComplexTrace,
     SystemParams,
     TraceKind,
-    s11,
-    s21,
+    _scattering,
+    _theta,
 )
 from .errors import (
     DegenerateParameterError,
@@ -33,6 +34,8 @@ from .errors import (
 from .units import TWO_PI, angular_to_hz
 
 _MIN_WINDOW_SAMPLES = 5
+#: Grid steps an extracted width must span before it is trusted.
+_MIN_WIDTH_STEPS = 3
 #: Points per free parameter required of a trace before fitting.
 _MIN_POINTS_PER_PARAM = 5
 
@@ -67,6 +70,12 @@ def extract_fwhm(trace: ComplexTrace, window) -> tuple:
         interval, or the extracted width exceeds half the window span;
         either way the window clips the feature. Use a window a few
         linewidths wide.
+
+    Warns
+    -----
+    ValidityWarning
+        The width spans fewer than 3 local grid steps: linear interpolation
+        between so few samples biases it (typically wide).
     """
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
@@ -111,6 +120,16 @@ def extract_fwhm(trace: ComplexTrace, window) -> tuple:
     if fwhm > 0.5 * (hi - lo):
         raise WindowTooNarrowError(
             "extracted width exceeds half the window span; the window clips the feature"
+        )
+    # Mean grid step over the samples that bracket both crossings.
+    steps = fwhm * (i1 - i0 + 2) / (f[i1 + 1] - f[i0 - 1])
+    if steps < _MIN_WIDTH_STEPS:
+        warnings.warn(
+            f"extracted width spans {steps:.2f} grid steps (fewer than "
+            f"{_MIN_WIDTH_STEPS}); the grid under-resolves the feature and the "
+            "width is unreliable",
+            ValidityWarning,
+            stacklevel=2,
         )
 
     # Parabolic vertex through the three samples around the maximum,
@@ -197,6 +216,11 @@ class FitResult:
     ``residual_norm`` is the RMS of the weighted residual vector.
     ``cost_trajectory`` holds the cost at the start and after each accepted
     iteration (monotone non-increasing by construction).
+    ``model_evaluations`` counts calls of the model kernel, with or without
+    the Jacobian. ``termination`` says why the fit stopped: ``cost_floor``,
+    ``relative_drop``, ``relative_step``, ``damping_saturated`` or
+    ``max_iterations``. The pooled summary of :func:`multi_trace_fit` sums
+    its members' evaluations and leaves ``termination`` empty.
     """
 
     params: SystemParams
@@ -205,48 +229,38 @@ class FitResult:
     converged: bool
     iterations: int
     cost_trajectory: tuple = ()
+    model_evaluations: int = 0
+    termination: str = ""
 
 
-def _model_residuals(params: SystemParams, trace: ComplexTrace, root_w: np.ndarray):
-    """Weighted residual vector for one trace; real-valued."""
-    if trace.kind is TraceKind.POWER:
-        model = np.abs(s21(params, trace.freqs).values) ** 2
-        peak = model.max()
-        if peak > 0.0:
-            model = model / peak
-        data = trace.values / trace.values.max()
-        return root_w * (model - data)
-    if trace.kind is TraceKind.S21:
-        model = s21(params, trace.freqs).values
-    else:
-        model = s11(params, trace.freqs).values
-    r = model - trace.values
-    return np.concatenate([root_w * r.real, root_w * r.imag])
+def _residuals(om, theta, kind, data, root_w, free=()):
+    """Weighted residual vector of one trace; real-valued.
 
-
-def _jacobian(fun, x, lo, hi):
-    """Finite-difference Jacobian, central where bounds allow.
-
-    Step is 1e-6 relative to |x_j| with an absolute floor of 1e-6; when a
-    step would leave [lo, hi] the difference falls back to one-sided.
+    ``om``, ``theta`` and ``free`` are as for the model kernel; ``data`` is
+    the trace's values, scaled to unit maximum for power traces. Complex
+    kinds stack the real and imaginary parts. With ``free`` non-empty,
+    returns ``(r, jac)`` with the closed-form Jacobian dr/dtheta[free]. The
+    power model |S21|^2 / max |S21|^2 is differentiated with the maximum
+    held at its argmax sample.
     """
-    r0 = fun(x)
-    m = r0.size
-    jac = np.empty((m, x.size))
-    for j in range(x.size):
-        h = 1e-6 * max(abs(x[j]), 1.0)
-        xp, xm = x.copy(), x.copy()
-        if x[j] + h <= hi[j] and x[j] - h >= lo[j]:
-            xp[j] += h
-            xm[j] -= h
-            jac[:, j] = (fun(xp) - fun(xm)) / (2.0 * h)
-        elif x[j] + h <= hi[j]:
-            xp[j] += h
-            jac[:, j] = (fun(xp) - r0) / h
-        else:
-            xm[j] -= h
-            jac[:, j] = (r0 - fun(xm)) / h
-    return jac, r0
+    power = kind is TraceKind.POWER
+    out = _scattering(om, theta, TraceKind.S21 if power else kind, free)
+    model, jac = out if free else (out, None)
+    if not power:
+        diff = model - data
+        r = np.concatenate([root_w * diff.real, root_w * diff.imag])
+        if jac is None:
+            return r
+        return r, np.concatenate([root_w[:, None] * jac.real, root_w[:, None] * jac.imag])
+    p = np.abs(model) ** 2
+    k = int(np.argmax(p))
+    peak = p[k] if p[k] > 0.0 else 1.0  # an all-zero model stays unscaled
+    scaled = p / peak
+    r = root_w * (scaled - data)
+    if jac is None:
+        return r
+    dp = 2.0 * (model.real[:, None] * jac.real + model.imag[:, None] * jac.imag)
+    return r, root_w[:, None] * (dp - scaled[:, None] * dp[k]) / peak
 
 
 def _check_degenerate(jac, names):
@@ -276,7 +290,9 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
 
     Damped least squares: steps solve (J^T J + lam diag(J^T J)) d = -J^T r,
     the damping grows when a step fails to reduce the cost and shrinks when
-    it succeeds, and steps are clipped to the parameter bounds. The fit stops
+    it succeeds, and steps are clipped to the parameter bounds. J is the
+    closed-form Jacobian of the model kernel (for power traces, of the
+    unit-max normalization taken at the argmax sample). The fit stops
     when the relative cost reduction or the relative step drops below
     ``config.tolerance``; hitting ``max_iterations`` first yields
     ``converged=False`` rather than an exception.
@@ -310,38 +326,50 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
         if not lo[j] <= x[j] <= hi[j]:
             raise InvalidInputError(f"initial guess for {name!r} is outside its bounds")
 
-    def residuals(xv):
-        # Trial points may wander outside the model's nominal domain; the
-        # validity warnings are meaningless mid-descent.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ValidityWarning)
-            trial = base.replace(**dict(zip(names, xv)))
-            return _model_residuals(trial, trace, root_w)
+    # The model's domain: frequencies positive, rates non-negative, all finite.
+    domain_lo = np.array([5e-324 if n in FREQUENCY_FIELDS else 0.0 for n in names])
+    free = tuple(PARAM_FIELDS.index(n) for n in names)
+    theta = list(_theta(base))
+    om = TWO_PI * trace.freqs
+    data = trace.values
+    if trace.kind is TraceKind.POWER:
+        data = data / data.max()
+    evaluations = 0
+
+    def evaluate(xv, with_jac):
+        nonlocal evaluations
+        evaluations += 1
+        for index, value in zip(free, xv):
+            theta[index] = float(value)
+        return _residuals(om, theta, trace.kind, data, root_w, free if with_jac else ())
 
     def cost_of(xv):
-        try:
-            r = residuals(xv)
-        except InvalidInputError:
-            return None, np.inf
-        return r, float(r @ r)
+        # A trial outside the model's domain or with a non-finite model
+        # counts as infinitely costly.
+        if not np.all((xv >= domain_lo) & (xv < np.inf)):
+            return np.inf
+        r = evaluate(xv, False)
+        if not np.all(np.isfinite(r)):
+            return np.inf
+        return float(r @ r)
 
-    r_cur, cost = cost_of(x)
-    if r_cur is None:
+    r_cur, jac = evaluate(x, True)
+    if not np.all(np.isfinite(r_cur)):
         raise InvalidInputError("initial guess is outside the model's domain")
+    cost = float(r_cur @ r_cur)
     m = r_cur.size
     trajectory = [cost]
-
-    jac, r_cur = _jacobian(residuals, x, lo, hi)
     _check_degenerate(jac, names)
 
     lam = 1e-3
     converged = False
+    termination = "max_iterations"
     iterations = 0
     floor = 1e-30 * m
     for _ in range(config.max_iterations):
         iterations += 1
         if cost <= floor:
-            converged = True
+            converged, termination = True, "cost_floor"
             break
         norms = np.linalg.norm(jac, axis=0)
         norms[norms == 0.0] = 1.0
@@ -356,33 +384,36 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
                 lam *= 10.0
                 continue
             x_new = np.clip(x + step / norms, lo, hi)
-            r_new, cost_new = cost_of(x_new)
+            cost_new = cost_of(x_new)
             if cost_new < cost:
                 rel_drop = (cost - cost_new) / max(cost, 1e-300)
                 rel_step = float(
                     np.max(np.abs(x_new - x) / np.maximum(np.abs(x), 1.0))
                 )
-                x, cost, r_cur = x_new, cost_new, r_new
+                x, cost = x_new, cost_new
                 trajectory.append(cost)
                 lam = max(lam / 3.0, 1e-12)
                 accepted = True
-                if rel_drop <= config.tolerance or rel_step <= config.tolerance:
-                    converged = True
+                # The Jacobian at every accepted point; the last one also
+                # gives the covariance.
+                r_cur, jac = evaluate(x, True)
+                if rel_drop <= config.tolerance:
+                    converged, termination = True, "relative_drop"
+                elif rel_step <= config.tolerance:
+                    converged, termination = True, "relative_step"
                 break
             lam *= 10.0
         if not accepted:
             # Damping saturated: no step in any descent direction improves
             # the cost, i.e. a (possibly bound-constrained) minimum.
-            converged = True
+            converged, termination = True, "damping_saturated"
             break
         if converged:
             break
-        jac, r_cur = _jacobian(residuals, x, lo, hi)
 
-    jac_final, _ = _jacobian(residuals, x, lo, hi)
     dof = max(m - len(names), 1)
     s2 = cost / dof
-    cov = s2 * np.linalg.pinv(jac_final.T @ jac_final)
+    cov = s2 * np.linalg.pinv(jac.T @ jac)
     sigmas = np.sqrt(np.clip(np.diag(cov), 0.0, np.inf))
     uncertainties = {n: angular_to_hz(float(s)) for n, s in zip(names, sigmas)}
 
@@ -396,6 +427,8 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
         converged=converged,
         iterations=iterations,
         cost_trajectory=tuple(trajectory),
+        model_evaluations=evaluations,
+        termination=termination,
     )
 
 
@@ -411,35 +444,31 @@ def auto_initial_guess(trace: ComplexTrace, template: SystemParams) -> SystemPar
     p = trace.power()
     med = float(np.median(p))
     threshold = 3.0 * med
-    idx = [
-        i
-        for i in range(1, len(p) - 1)
-        if p[i] >= p[i - 1] and p[i] > p[i + 1] and p[i] > threshold
-    ]
-    if not idx:
+    inner = p[1:-1]
+    idx = np.flatnonzero((inner >= p[:-2]) & (inner > p[2:]) & (inner > threshold)) + 1
+    if not idx.size:
         raise InvalidInputError("no feature rises above 3x the median power")
 
-    def halfwidth_span(i):
-        level = med + 0.5 * (p[i] - med)
+    # The span walks run over Python floats: indexing numpy scalars one at
+    # a time costs several times more.
+    fl, pl = f.tolist(), p.tolist()
+    last = len(pl) - 1
+    peaks = []  # (freq, width, spans) with non-maximum suppression
+    for i in idx[np.argsort(-p[idx], kind="stable")].tolist():
+        if any(plo <= fl[i] <= phi for _, _, (plo, phi) in peaks):
+            continue
+        level = med + 0.5 * (pl[i] - med)
         l = i
-        while l > 0 and p[l] > level:
+        while l > 0 and pl[l] > level:
             l -= 1
         r = i
-        while r < len(p) - 1 and p[r] > level:
+        while r < last and pl[r] > level:
             r += 1
-        return l, r
-
-    peaks = []  # (freq, width, spans) with non-maximum suppression
-    for i in sorted(idx, key=lambda i: -p[i]):
-        l, r = halfwidth_span(i)
-        lo_f, hi_f = f[l], f[r]
-        if any(plo <= f[i] <= phi for _, _, (plo, phi) in peaks):
-            continue
         # Power-weighted centroid over the half-max span; the raw argmax
         # wanders by a good fraction of the linewidth on a noisy flat top.
         weight = np.clip(p[l : r + 1] - med, 0.0, None)
         center = float(np.sum(f[l : r + 1] * weight) / np.sum(weight))
-        peaks.append((center, float(hi_f - lo_f), (lo_f, hi_f)))
+        peaks.append((center, fl[r] - fl[l], (fl[l], fl[r])))
     if len(peaks) < 2:
         raise InvalidInputError(
             "fewer than two resolvable features above 3x the median power"
@@ -541,6 +570,7 @@ def multi_trace_fit(traces, shared, config: FitConfig, *, auto_guess=True) -> Mu
         converged=all(r.converged for r in results),
         iterations=sum(r.iterations for r in results),
         cost_trajectory=(),
+        model_evaluations=sum(r.model_evaluations for r in results),
     )
     return MultiTraceFit(
         combined=combined,

@@ -42,6 +42,7 @@ def announce(capsys):
     return _announce
 
 
+@pytest.mark.filterwarnings("error::cavlink.errors.ValidityWarning")
 def test_narrow_feature_width_follows_effective_rates(announce):
     # moderately asymmetric two-port cavity; detuning stepped in units of
     # kappa_cav_tot so the approximation error has room to shrink
@@ -108,6 +109,7 @@ def test_hat_swap_tunes_rate_by_order_of_magnitude(announce):
     assert ok, f"kappa_eff_1 by hat: {keff1}, ratio {ratio:.1f}"
 
 
+@pytest.mark.filterwarnings("error::cavlink.errors.ValidityWarning")
 def test_transparency_window_width_and_position(announce):
     # electromechanical damping of 0.9 kHz on a 10 Hz mechanical line:
     # the window should be 0.91 kHz wide and sit at pump + omega_m

@@ -19,9 +19,11 @@ import math
 import os
 import shutil
 import sys
+import warnings
 
 import pytest
 
+from cavlink import ValidityWarning, cli, lineshape
 from cavlink.cli import run
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -197,6 +199,52 @@ def test_cli_output_matches_golden(name, tmp_path, capsys):
             _compare_text(got, want, fname)
 
 
+def test_fit_case_needs_few_kernel_calls(tmp_path, monkeypatch):
+    # At most 17 calls of the model kernel: a fifth of the 89 model
+    # evaluations a finite-difference Jacobian costs on this fit.
+    calls, results = [], []
+    kernel, fit = lineshape._scattering, cli.fit_trace
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    def recording(*args, **kwargs):
+        results.append(fit(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(lineshape, "_scattering", counting)
+    monkeypatch.setattr(cli, "fit_trace", recording)
+    _run_case("fit", str(tmp_path))
+    assert len(results) == 1
+    assert results[0].model_evaluations == len(calls) <= 17
+
+
+@pytest.mark.parametrize("points, fires", [(801, True), (3201, False)])
+def test_omit_widths_warn_when_under_resolved(points, fires, tmp_path, monkeypatch):
+    # The omit case's 650 Hz grid step leaves the 910 Hz and 625 Hz windows
+    # only ~2 steps wide; a grid 4x finer resolves them.
+    extract, messages = cli.extract_fwhm, []
+
+    def recording(*args):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = extract(*args)
+        messages.extend(str(w.message) for w in caught if w.category is ValidityWarning)
+        return out
+
+    command, preset, sections, _ = CASES["omit"]
+    sections = dict(sections, grid=dict(sections["grid"], points=points))
+    monkeypatch.setitem(CASES, "omit_grid", (command, preset, sections, "omit_grid.csv"))
+    monkeypatch.setattr(cli, "extract_fwhm", recording)
+    _run_case("omit_grid", str(tmp_path))
+    if fires:
+        assert len(messages) == 2
+        assert all("grid steps" in m for m in messages)
+    else:
+        assert messages == []
+
+
 def _regenerate():
     # Simulated traces feed the fit cases, so they are written first.
     scratch = os.path.join(GOLDEN, ".regen")
@@ -213,3 +261,4 @@ if __name__ == "__main__":
         sys.exit(__doc__)
     os.makedirs(GOLDEN, exist_ok=True)
     _regenerate()
+

@@ -20,6 +20,7 @@ from cavlink import (
     fit_trace,
     multi_trace_fit,
     normalized_power_trace,
+    s11,
     s21,
 )
 from cavlink.units import TWO_PI
@@ -225,6 +226,7 @@ class TestFitTrace:
         result = fit_trace(trace, cfg)
         assert not result.converged
         assert result.iterations == 1
+        assert result.termination == "max_iterations"
 
     def test_degenerate_pair_on_power_trace(self):
         # normalized |S21|^2 sees kappa_cav_2 and kappa_cav_loss only
@@ -283,6 +285,116 @@ class TestFitTrace:
             ratios.append([sigmas[400][k] / sigmas[1600][k] for k in free])
         mean_ratio = np.mean(ratios, axis=0)
         assert np.all(mean_ratio > 1.6) and np.all(mean_ratio < 2.4)
+
+
+class TestFitDiagnostics:
+    def test_cost_floor_at_the_truth(self):
+        truth = reference_params()
+        trace = s21(truth, merged_grid(truth))
+        result = fit_trace(trace, FitConfig(free_params=FREE, initial_guess=truth))
+        assert result.termination == "cost_floor"
+        assert result.model_evaluations == 1
+        assert result.cost_trajectory == (0.0,)
+
+    def test_relative_drop_on_noisy_trace(self):
+        truth = reference_params()
+        trace = add_noise(s21(truth, merged_grid(truth)), 0.01, seed=7)
+        cfg = FitConfig(free_params=FREE, initial_guess=perturbed_guess(truth, FREE))
+        result = fit_trace(trace, cfg)
+        assert result.converged
+        assert result.termination == "relative_drop"
+
+    def test_relative_step_from_a_zero_bound(self):
+        # kappa_cav_1 = 0 zeroes S21; the lone free rate still leaves its
+        # bound and lands on the truth
+        truth = reference_params()
+        trace = s21(truth, merged_grid(truth))
+        cfg = FitConfig(
+            free_params=("kappa_cav_1",), initial_guess=truth.replace(kappa_cav_1=0.0)
+        )
+        result = fit_trace(trace, cfg)
+        assert result.converged
+        assert result.termination == "relative_step"
+        assert result.params.kappa_cav_1 == pytest.approx(truth.kappa_cav_1, rel=1e-9)
+
+    def test_damping_saturated_on_a_bound(self):
+        truth = reference_params()
+        trace = s21(truth, merged_grid(truth))
+        cap = 0.9 * truth.g
+        cfg = FitConfig(
+            free_params=("g",),
+            initial_guess=truth.replace(g=cap),
+            bounds={"g": (0.5 * truth.g, cap)},
+        )
+        result = fit_trace(trace, cfg)
+        assert result.converged
+        assert result.termination == "damping_saturated"
+        assert result.params.g == cap
+
+    def test_evaluations_count_kernel_calls(self, monkeypatch):
+        from cavlink import lineshape
+
+        calls = []
+        kernel = lineshape._scattering
+
+        def counting(*args, **kwargs):
+            calls.append(bool(args[3]) if len(args) > 3 else False)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(lineshape, "_scattering", counting)
+        truth = reference_params()
+        trace = add_noise(s21(truth, merged_grid(truth)), 0.01, seed=7)
+        cfg = FitConfig(free_params=FREE, initial_guess=perturbed_guess(truth, FREE))
+        result = fit_trace(trace, cfg)
+        assert result.model_evaluations == len(calls)
+        # one call with the Jacobian at the start and at every accepted point
+        assert sum(calls) == len(result.cost_trajectory)
+
+    def test_joint_summary_sums_evaluations(self):
+        truth = reference_params()
+        traces = [
+            add_noise(s21(truth, merged_grid(truth)), 0.01, seed=s) for s in (1, 2)
+        ]
+        cfg = FitConfig(free_params=("omega_lc", "g"), initial_guess=truth)
+        joint = multi_trace_fit(traces, ("g",), cfg, auto_guess=False)
+        assert joint.combined.model_evaluations == sum(
+            r.model_evaluations for r in joint.per_trace
+        )
+        assert joint.combined.termination == ""
+
+
+class TestZeroAmplitudeStart:
+    """A start with kappa_cav_1 * kappa_cav_2 = 0 makes the S21 model vanish:
+    every parameter but the zero rate has no effect there."""
+
+    @pytest.mark.parametrize("power", [False, True])
+    def test_first_parameter_without_effect_is_named(self, power):
+        truth = reference_params()
+        trace = s21(truth, merged_grid(truth))
+        if power:
+            trace = normalized_power_trace(trace)
+        cfg = FitConfig(free_params=FREE, initial_guess=truth.replace(kappa_cav_1=0.0))
+        with pytest.raises(DegenerateParameterError) as err:
+            fit_trace(trace, cfg)
+        assert err.value.names == ("omega_cav",)
+
+    @pytest.mark.parametrize(
+        "free, zeroed, named",
+        [
+            (("kappa_cav_1", "g"), ("kappa_cav_1",), ("g",)),
+            (("kappa_cav_2", "kappa_lc_bare"), ("kappa_cav_2",), ("kappa_lc_bare",)),
+            (("kappa_cav_1", "kappa_cav_2"), ("kappa_cav_1", "kappa_cav_2"), ("kappa_cav_1",)),
+        ],
+    )
+    def test_zero_rate_keeps_its_effect(self, free, zeroed, named):
+        truth = reference_params()
+        trace = s21(truth, merged_grid(truth))
+        cfg = FitConfig(
+            free_params=free, initial_guess=truth.replace(**{n: 0.0 for n in zeroed})
+        )
+        with pytest.raises(DegenerateParameterError) as err:
+            fit_trace(trace, cfg)
+        assert err.value.names == named
 
 
 class TestAutoInitialGuess:
@@ -401,3 +513,167 @@ class TestAddNoise:
         assert np.std(noisy.values.real) == pytest.approx(0.02, rel=0.1)
         assert np.std(noisy.values.imag) == pytest.approx(0.02, rel=0.1)
         assert abs(np.mean(noisy.values)) < 0.005
+
+
+# -- closed-form Jacobian against finite differences -------------------------
+
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+
+from cavlink import HAT_PRESETS  # noqa: E402
+from cavlink.coupled_modes import _theta  # noqa: E402
+from cavlink.lineshape import _residuals  # noqa: E402
+
+_HAT_OM = {name: TWO_PI * merged_grid(p) for name, p in HAT_PRESETS.items()}
+# Rates that may start at their lower bound of 0 without zeroing S21.
+_ZERO_OK = (4, 5)  # kappa_cav_loss, kappa_lc_bare
+
+
+@st.composite
+def jacobian_cases(draw):
+    """A hat preset moved by up to half a linewidth in each frequency and
+    by -30%/+40% in each rate, a trace kind and a set of free parameters;
+    optionally one rate sits on its bound of 0."""
+    name = draw(st.sampled_from(sorted(HAT_PRESETS)))
+    p = HAT_PRESETS[name]
+    theta = list(_theta(p))
+    theta[0] += draw(st.floats(-0.5, 0.5)) * p.kappa_cav_tot
+    theta[1] += draw(st.floats(-0.5, 0.5)) * effective_rates(p).kappa_lc_tot
+    for i in range(2, 7):
+        theta[i] *= draw(st.floats(0.7, 1.4))
+    free = set(draw(st.lists(st.integers(0, 6), min_size=1, max_size=7, unique=True)))
+    zero = draw(st.sampled_from((None,) + _ZERO_OK))
+    if zero is not None:
+        theta[zero] = 0.0
+        free.add(zero)
+    kind = draw(st.sampled_from(list(TraceKind)))
+    return name, kind, theta, tuple(sorted(free)), zero
+
+
+def _trial_residuals(name, kind, theta):
+    om = _HAT_OM[name]
+    data = np.zeros(om.size, dtype=float if kind is TraceKind.POWER else complex)
+    return _residuals(om, theta, kind, data, np.ones(om.size))
+
+
+class TestAnalyticJacobian:
+    @settings(max_examples=300, deadline=None)
+    @given(jacobian_cases())
+    def test_matches_finite_differences(self, case):
+        name, kind, theta, free, zero = case
+        om = _HAT_OM[name]
+        data = np.zeros(om.size, dtype=float if kind is TraceKind.POWER else complex)
+        r, jac = _residuals(om, theta, kind, data, np.ones(om.size), free)
+        if kind is TraceKind.POWER:
+            # the normalization is differentiated at the argmax sample; a
+            # difference step that moves the argmax would cross a kink
+            top = np.sort(r)[-2:]
+            assume(top[1] - top[0] > 1e-6)
+        preset = _theta(HAT_PRESETS[name])
+        for col, index in enumerate(free):
+            if index == zero:
+                # one-sided: the rate may not go negative
+                h = 1e-7 * preset[index]
+                up = list(theta)
+                up[index] += h
+                fd = (_trial_residuals(name, kind, up) - r) / h
+            else:
+                h = (1e-8 if index < 2 else 1e-5) * theta[index]
+                up, down = list(theta), list(theta)
+                up[index] += h
+                down[index] -= h
+                fd = (
+                    _trial_residuals(name, kind, up) - _trial_residuals(name, kind, down)
+                ) / (2.0 * h)
+            scale = np.max(np.abs(jac[:, col]))
+            assert np.max(np.abs(fd - jac[:, col])) <= 1e-5 * scale, (index, scale)
+
+    def test_fit_on_every_hat_and_kind(self):
+        # the Jacobian drives fits of all three trace kinds to the truth
+        for p in HAT_PRESETS.values():
+            clean = s21(p, merged_grid(p))
+            for trace in (clean, normalized_power_trace(clean), s11(p, clean.freqs)):
+                free = FREE if trace.kind is not TraceKind.POWER else (
+                    "omega_cav", "omega_lc", "kappa_lc_bare", "g"
+                )
+                cfg = FitConfig(free_params=free, initial_guess=perturbed_guess(p, free))
+                result = fit_trace(trace, cfg)
+                assert result.converged
+                for n in free:
+                    assert getattr(result.params, n) == pytest.approx(
+                        getattr(p, n), rel=1e-6
+                    ), (trace.kind, n)
+
+
+# -- auto_initial_guess against the scalar loop it replaced ------------------
+
+
+def _auto_initial_guess_loop(trace, template):
+    """Reference: the element-by-element scan over numpy scalars."""
+    f = trace.freqs
+    p = trace.power()
+    med = float(np.median(p))
+    threshold = 3.0 * med
+    idx = [
+        i
+        for i in range(1, len(p) - 1)
+        if p[i] >= p[i - 1] and p[i] > p[i + 1] and p[i] > threshold
+    ]
+    if not idx:
+        raise InvalidInputError("no feature rises above 3x the median power")
+
+    def halfwidth_span(i):
+        level = med + 0.5 * (p[i] - med)
+        l = i
+        while l > 0 and p[l] > level:
+            l -= 1
+        r = i
+        while r < len(p) - 1 and p[r] > level:
+            r += 1
+        return l, r
+
+    peaks = []
+    for i in sorted(idx, key=lambda i: -p[i]):
+        l, r = halfwidth_span(i)
+        lo_f, hi_f = f[l], f[r]
+        if any(plo <= f[i] <= phi for _, _, (plo, phi) in peaks):
+            continue
+        weight = np.clip(p[l : r + 1] - med, 0.0, None)
+        center = float(np.sum(f[l : r + 1] * weight) / np.sum(weight))
+        peaks.append((center, float(hi_f - lo_f), (lo_f, hi_f)))
+    if len(peaks) < 2:
+        raise InvalidInputError(
+            "fewer than two resolvable features above 3x the median power"
+        )
+    by_width = sorted(peaks, key=lambda t: t[1])
+    return template.replace(
+        omega_cav=TWO_PI * by_width[-1][0], omega_lc=TWO_PI * by_width[0][0]
+    )
+
+
+def _guess_or_error(guess, trace, template):
+    try:
+        g = guess(trace, template)
+    except InvalidInputError as exc:
+        return str(exc)
+    return g.omega_cav, g.omega_lc
+
+
+class TestAutoInitialGuessMatchesLoop:
+    @pytest.mark.parametrize("hat", sorted(HAT_PRESETS))
+    def test_bit_identical_on_noisy_hats(self, hat):
+        # S11 traces show dips only: they cover the refusal path. Power
+        # rounded to 3 digits has flat tops and tied maxima.
+        truth = HAT_PRESETS[hat]
+        clean = s21(truth, merged_grid(truth))
+        clean11 = s11(truth, clean.freqs)
+        amplitude = float(np.max(np.abs(clean.values))) / 100.0
+        template = truth.replace(g=1.05 * truth.g)
+        for seed in range(20):
+            noisy = add_noise(clean, amplitude, seed)
+            reflected = add_noise(clean11, amplitude, seed)
+            power = normalized_power_trace(noisy)
+            rounded = ComplexTrace(power.freqs, np.round(power.values, 3), TraceKind.POWER)
+            for trace in (noisy, power, rounded, reflected):
+                want = _guess_or_error(_auto_initial_guess_loop, trace, template)
+                got = _guess_or_error(auto_initial_guess, trace, template)
+                assert got == want, (hat, seed, trace.kind)
