@@ -15,6 +15,7 @@ from cavlink import (
     effective_rates,
     extract_fwhm,
     lower_sideband_pump,
+    multi_mode_omit,
     transparency_signal,
 )
 from cavlink.units import TWO_PI, angular_to_hz
@@ -23,11 +24,12 @@ from cavlink.units import TWO_PI, angular_to_hz
 def window_profile(params, mode, gamma_e_hz, points=1201):
     kappa_lc = effective_rates(params).kappa_lc_tot
     coupling = coupling_for_damping(TWO_PI * gamma_e_hz, kappa_lc)
-    pump = lower_sideband_pump(params, mode, coupling=coupling)
+    pump = lower_sideband_pump(params, mode)
     center = (pump.omega_pump + mode.omega_m) / TWO_PI
     width = gamma_e_hz + mode.gamma_m / TWO_PI
     grid = np.linspace(center - 10 * width, center + 10 * width, points)
-    signal = transparency_signal(params, [mode], [coupling], pump, grid)
+    on = multi_mode_omit(params, [mode], [coupling], pump, grid)
+    signal = transparency_signal(params, pump, on)
     return signal, center, width
 
 

@@ -38,9 +38,7 @@ from .electromechanics import (
     electromechanical_damping,
     lower_sideband_pump,
     multi_mode_omit,
-    omit_reflection,
     pumped_lc_params,
-    shifted_lc_frequency,
     transparency_signal,
 )
 from .errors import (

@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -31,8 +32,8 @@ from .design import (
 )
 from .electromechanics import (
     MechanicalMode,
-    PumpConfig,
     coupling_for_damping,
+    electromechanical_damping,
     lower_sideband_pump,
     multi_mode_omit,
     pumped_lc_params,
@@ -336,25 +337,44 @@ def _cmd_sweep(cp, out, preset_name):
     return EXIT_OK
 
 
+def _mode_index(section):
+    try:
+        return int(section.split(".", 1)[1])
+    except ValueError:
+        raise ConfigError(
+            f"{section}: extra mode sections are named [mode.N] with an integer N"
+        ) from None
+
+
+def _optional_rate(cp, section, key):
+    """The non-negative rate under ``key`` (given in Hz) in rad/s; None if absent."""
+    if not cp.has_option(section, key):
+        return None
+    value = config_float(cp, section, key)
+    if value < 0.0:
+        raise ConfigError(f"{section}.{key}: must be non-negative, got {value!r}")
+    return hz_to_angular(value)
+
+
 def _modes_from_config(cp):
     """[omit] holds the first mode; [mode.2], [mode.3], ... add more."""
     sections = ["omit"]
-    extra = sorted(
-        (s for s in cp.sections() if s.startswith("mode.")),
-        key=lambda s: int(s.split(".", 1)[1]),
+    sections.extend(
+        sorted((s for s in cp.sections() if s.startswith("mode.")), key=_mode_index)
     )
-    sections.extend(extra)
     entries = []
     for section in sections:
-        omega_m = config_float(cp, section, "omega_m_hz")
-        gamma_m = config_float(cp, section, "gamma_m_hz", default=0.0)
-        coupling = config_float(cp, section, "coupling_hz", default=-1.0)
-        gamma_e = config_float(cp, section, "gamma_e_hz", default=-1.0)
-        if coupling >= 0.0 and gamma_e >= 0.0:
+        mode = MechanicalMode(
+            omega_m=hz_to_angular(config_float(cp, section, "omega_m_hz")),
+            gamma_m=hz_to_angular(config_float(cp, section, "gamma_m_hz", default=0.0)),
+        )
+        coupling = _optional_rate(cp, section, "coupling_hz")
+        gamma_e = _optional_rate(cp, section, "gamma_e_hz")
+        if coupling is not None and gamma_e is not None:
             raise ConfigError(
                 f"{section}: give coupling_hz or gamma_e_hz, not both"
             )
-        entries.append((omega_m, gamma_m, coupling, gamma_e))
+        entries.append((mode, coupling, gamma_e))
     return entries
 
 
@@ -362,60 +382,34 @@ def _cmd_omit(cp, out, preset_name):
     preset = ALL_PRESETS[preset_name] if preset_name else None
     params = _params_from_config(cp, preset)
     grid = _grid_from_config(cp)
-    lc_shift = config_float(cp, "omit", "lc_shift_hz", default=0.0)
-    lc_extra_loss = config_float(cp, "omit", "lc_extra_loss_hz", default=0.0)
-    pump_offset = config_float(cp, "omit", "pump_offset_hz", default=0.0)
+    lc_shift = hz_to_angular(config_float(cp, "omit", "lc_shift_hz", default=0.0))
+    lc_extra_loss = hz_to_angular(config_float(cp, "omit", "lc_extra_loss_hz", default=0.0))
+    pump_offset = hz_to_angular(config_float(cp, "omit", "pump_offset_hz", default=0.0))
 
-    shifted = pumped_lc_params(
-        params,
-        PumpConfig(
-            omega_pump=1.0,
-            coupling=0.0,
-            lc_shift=hz_to_angular(lc_shift),
-            lc_extra_loss=hz_to_angular(lc_extra_loss),
-        ),
-    )
+    shifted = pumped_lc_params(params, lc_shift=lc_shift, lc_extra_loss=lc_extra_loss)
     kappa_lc_tot = effective_rates(shifted).kappa_lc_tot
 
     modes = []
     couplings = []
-    for omega_m, gamma_m, coupling, gamma_e in _modes_from_config(cp):
-        modes.append(
-            MechanicalMode(
-                omega_m=hz_to_angular(omega_m), gamma_m=hz_to_angular(gamma_m)
-            )
-        )
-        if coupling >= 0.0:
-            couplings.append(hz_to_angular(coupling))
-        elif gamma_e >= 0.0:
-            couplings.append(
-                coupling_for_damping(hz_to_angular(gamma_e), kappa_lc_tot)
-            )
-        else:
-            couplings.append(0.0)
+    for mode, coupling, gamma_e in _modes_from_config(cp):
+        modes.append(mode)
+        if gamma_e is not None:
+            coupling = coupling_for_damping(gamma_e, kappa_lc_tot)
+        couplings.append(0.0 if coupling is None else coupling)
+    gamma_es = [electromechanical_damping(c, kappa_lc_tot) for c in couplings]
 
-    base_pump = lower_sideband_pump(
-        params,
-        modes[0],
-        coupling=couplings[0],
-        lc_shift=hz_to_angular(lc_shift),
-        lc_extra_loss=hz_to_angular(lc_extra_loss),
+    pump = lower_sideband_pump(
+        params, modes[0], lc_shift=lc_shift, lc_extra_loss=lc_extra_loss
     )
-    pump = PumpConfig(
-        omega_pump=base_pump.omega_pump + hz_to_angular(pump_offset),
-        coupling=base_pump.coupling,
-        lc_shift=base_pump.lc_shift,
-        lc_extra_loss=base_pump.lc_extra_loss,
-    )
+    pump = replace(pump, omega_pump=pump.omega_pump + pump_offset)
 
-    trace = multi_mode_omit(params, tuple(modes), tuple(couplings), pump, grid)
+    trace = multi_mode_omit(params, modes, couplings, pump, grid)
     write_trace(out, trace)
 
-    signal = transparency_signal(params, tuple(modes), tuple(couplings), pump, grid)
+    signal = transparency_signal(params, pump, trace)
     pump_hz = angular_to_hz(pump.omega_pump)
     windows = []
-    for mode, coupling in zip(modes, couplings):
-        gamma_e = 4.0 * coupling**2 / kappa_lc_tot
+    for mode, gamma_e in zip(modes, gamma_es):
         width_hz = angular_to_hz(mode.gamma_m + gamma_e)
         predicted_hz = angular_to_hz(pump.omega_pump + mode.omega_m)
         entry = {"predicted_center_hz": predicted_hz}

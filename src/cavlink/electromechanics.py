@@ -60,8 +60,6 @@ class PumpConfig:
     ----------
     omega_pump : float
         Pump frequency; must stay below the (shifted) LC resonance.
-    coupling : float
-        Pump-enhanced electromechanical coupling rate G >= 0.
     lc_shift : float
         Signed pump-induced shift of the LC resonance.
     lc_extra_loss : float
@@ -69,7 +67,6 @@ class PumpConfig:
     """
 
     omega_pump: float
-    coupling: float = 0.0
     lc_shift: float = 0.0
     lc_extra_loss: float = 0.0
 
@@ -77,10 +74,6 @@ class PumpConfig:
         if not np.isfinite(self.omega_pump) or self.omega_pump <= 0.0:
             raise InvalidInputError(
                 f"omega_pump must be positive and finite (rad/s), got {self.omega_pump!r}"
-            )
-        if not np.isfinite(self.coupling) or self.coupling < 0.0:
-            raise InvalidInputError(
-                f"coupling must be non-negative and finite (rad/s), got {self.coupling!r}"
             )
         if not np.isfinite(self.lc_shift):
             raise InvalidInputError(f"lc_shift must be finite, got {self.lc_shift!r}")
@@ -123,38 +116,23 @@ def coupling_for_damping(gamma_e, kappa_lc_tot):
     return 0.5 * np.sqrt(gamma_e * kappa_lc_tot)
 
 
-def pumped_lc_params(params: SystemParams, pump: PumpConfig) -> SystemParams:
-    """Parameters with the pump's LC shift and extra loss folded in."""
+def pumped_lc_params(
+    params: SystemParams, *, lc_shift=0.0, lc_extra_loss=0.0
+) -> SystemParams:
+    """Parameters with a pump's LC shift and extra loss folded in."""
     return params.replace(
-        omega_lc=params.omega_lc + pump.lc_shift,
-        kappa_lc_bare=params.kappa_lc_bare + pump.lc_extra_loss,
-    )
-
-
-def shifted_lc_frequency(params: SystemParams, *, lc_shift=0.0, lc_extra_loss=0.0) -> float:
-    """Dressed LC frequency (rad/s) once a pump shift/extra loss is applied."""
-    shifted = params.replace(
         omega_lc=params.omega_lc + lc_shift,
         kappa_lc_bare=params.kappa_lc_bare + lc_extra_loss,
     )
-    return dressed_modes(shifted).omega_lc
 
 
 def lower_sideband_pump(
-    params: SystemParams,
-    mode: MechanicalMode,
-    *,
-    coupling=0.0,
-    lc_shift=0.0,
-    lc_extra_loss=0.0,
+    params: SystemParams, mode: MechanicalMode, *, lc_shift=0.0, lc_extra_loss=0.0
 ) -> PumpConfig:
     """PumpConfig sitting exactly on the lower mechanical sideband."""
-    omega_lc_eff = shifted_lc_frequency(
-        params, lc_shift=lc_shift, lc_extra_loss=lc_extra_loss
-    )
+    shifted = pumped_lc_params(params, lc_shift=lc_shift, lc_extra_loss=lc_extra_loss)
     return PumpConfig(
-        omega_pump=omega_lc_eff - mode.omega_m,
-        coupling=coupling,
+        omega_pump=dressed_modes(shifted).omega_lc - mode.omega_m,
         lc_shift=lc_shift,
         lc_extra_loss=lc_extra_loss,
     )
@@ -179,8 +157,7 @@ def multi_mode_omit(params, modes, couplings, pump, freqs) -> ComplexTrace:
     couplings : sequence of float
         Per-mode pump-enhanced coupling G_j >= 0 (rad/s), parallel to modes.
     pump : PumpConfig
-        Supplies pump frequency, LC shift, and extra loss; its ``coupling``
-        field is ignored here in favor of ``couplings``.
+        Supplies pump frequency, LC shift, and extra loss.
     freqs : array
         Probe grid in Hz.
 
@@ -217,18 +194,18 @@ def multi_mode_omit(params, modes, couplings, pump, freqs) -> ComplexTrace:
                     stacklevel=2,
                 )
 
-    omega_lc_eff = shifted_lc_frequency(
+    shifted = pumped_lc_params(
         params, lc_shift=pump.lc_shift, lc_extra_loss=pump.lc_extra_loss
     )
-    if pump.omega_pump >= omega_lc_eff:
+    dressed = dressed_modes(shifted)
+    if pump.omega_pump >= dressed.omega_lc:
         raise InvalidInputError(
             "pump must be red-detuned: omega_pump is at or above the "
             "pump-shifted LC resonance"
         )
-    shifted = pumped_lc_params(params, pump)
-    kappa_lc_tot = effective_rates(shifted).kappa_lc_tot
+    kappa_lc_tot = effective_rates(shifted, delta_eff=dressed.delta_eff).kappa_lc_tot
     for i, mode in enumerate(modes):
-        if abs(pump.omega_pump - (omega_lc_eff - mode.omega_m)) >= kappa_lc_tot:
+        if abs(pump.omega_pump - (dressed.omega_lc - mode.omega_m)) >= kappa_lc_tot:
             warnings.warn(
                 f"pump misses mechanical mode {i}'s lower sideband by more "
                 "than kappa_lc_tot; the transparency window will be weak "
@@ -252,19 +229,11 @@ def multi_mode_omit(params, modes, couplings, pump, freqs) -> ComplexTrace:
     return ComplexTrace(freqs, vals, TraceKind.S11)
 
 
-def omit_reflection(params, mode, pump, freqs) -> ComplexTrace:
-    """Single-mode transparency spectrum; see :func:`multi_mode_omit`.
-
-    Uses ``pump.coupling`` as the electromechanical coupling G. With G = 0
-    this is exactly :func:`cavlink.coupled_modes.s11` evaluated with the
-    pump-shifted LC parameters.
-    """
-    return multi_mode_omit(params, (mode,), (pump.coupling,), pump, freqs)
-
-
-def transparency_signal(params, modes, couplings, pump, freqs) -> ComplexTrace:
+def transparency_signal(params, pump, on: ComplexTrace) -> ComplexTrace:
     """Pump-induced response change |S11(on) - S11(off)|^2 as a power trace.
 
+    ``on`` is the S11 trace :func:`multi_mode_omit` returned for the same
+    ``params`` and ``pump`` (InvalidInputError for any other kind).
     Subtracting the pump-off reflection in the complex plane isolates the
     mechanical contribution: the result is a clean peak of width close to
     gamma_m + gamma_e per mode, sitting on a flat background instead of the
@@ -272,8 +241,12 @@ def transparency_signal(params, modes, couplings, pump, freqs) -> ComplexTrace:
     accurate even when the window is shallow or sits in a deep dip, which
     is why the window report uses it rather than the raw reflection.
     """
-    on = multi_mode_omit(params, modes, couplings, pump, freqs)
-    shifted = pumped_lc_params(params, pump)
-    om = _probe_angular(freqs)
-    off = _scattering(om, _theta(shifted), TraceKind.S11)
-    return ComplexTrace(freqs, np.abs(on.values - off) ** 2, TraceKind.POWER)
+    if on.kind is not TraceKind.S11:
+        raise InvalidInputError(
+            f"transparency_signal needs the pumped s11 trace, got {on.kind.value}"
+        )
+    shifted = pumped_lc_params(
+        params, lc_shift=pump.lc_shift, lc_extra_loss=pump.lc_extra_loss
+    )
+    off = _scattering(_probe_angular(on.freqs), _theta(shifted), TraceKind.S11)
+    return ComplexTrace(on.freqs, np.abs(on.values - off) ** 2, TraceKind.POWER)

@@ -23,6 +23,7 @@ from cavlink import (
     find_target_detuning,
     fit_trace,
     lower_sideband_pump,
+    multi_mode_omit,
     normalized_power_trace,
     resolved_sideband_ratio,
     s11,
@@ -117,7 +118,7 @@ def test_transparency_window_width_and_position(announce):
     kappa_lc = effective_rates(params).kappa_lc_tot
     mode = MechanicalMode(TWO_PI * 0.66e6, TWO_PI * 10.0)
     coupling = coupling_for_damping(TWO_PI * 900.0, kappa_lc)
-    pump = lower_sideband_pump(params, mode, coupling=coupling)
+    pump = lower_sideband_pump(params, mode)
 
     predicted_center = (pump.omega_pump + mode.omega_m) / TWO_PI
     predicted_width = 910.0
@@ -127,7 +128,9 @@ def test_transparency_window_width_and_position(announce):
         241,
     )
     step = grid[1] - grid[0]
-    signal = transparency_signal(params, [mode], [coupling], pump, grid)
+    signal = transparency_signal(
+        params, pump, multi_mode_omit(params, [mode], [coupling], pump, grid)
+    )
     center, fwhm = extract_fwhm(
         signal,
         (predicted_center - 6 * predicted_width, predicted_center + 6 * predicted_width),

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import merged_grid, reference_params
 
-from cavlink import HAT_PRESETS, dressed_modes, s21
+from cavlink import HAT_PRESETS, cli, dressed_modes, electromechanics, s21
 from cavlink.cli import run
 from cavlink.tracefile import read_trace, write_trace
 from cavlink.units import TWO_PI, angular_to_hz
@@ -314,6 +314,60 @@ class TestOmit:
         assert run(["omit", "--config", cfg, "--out", str(tmp_path / "o.csv"),
                     "--preset", "hat270"]) == 2
         assert "not both" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rate_lines, key", [
+        ("coupling_hz = -5e3\n", "omit.coupling_hz"),
+        ("gamma_e_hz = -900\n", "omit.gamma_e_hz"),
+        ("coupling_hz = -1\ngamma_e_hz = 900\n", "omit.coupling_hz"),
+    ], ids=["coupling", "gamma_e", "negative_coupling_with_gamma_e"])
+    def test_negative_rates_rejected(self, tmp_path, capsys, rate_lines, key):
+        cfg = self.omit_ini(tmp_path, "omega_m_hz = 0.66e6\ngamma_m_hz = 10\n" + rate_lines)
+        assert run(["omit", "--config", cfg, "--out", str(tmp_path / "o.csv"),
+                    "--preset", "hat270"]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "non-negative" in err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_non_integer_mode_section_rejected(self, tmp_path, capsys):
+        cfg = self.omit_ini(
+            tmp_path,
+            "omega_m_hz = 0.66e6\ngamma_e_hz = 900\n"
+            "[mode.two]\nomega_m_hz = 1.1e6\ngamma_e_hz = 600\n",
+        )
+        assert run(["omit", "--config", cfg, "--out", str(tmp_path / "o.csv"),
+                    "--preset", "hat270"]) == 2
+        assert "mode.two" in capsys.readouterr().err
+
+    def test_zero_lc_linewidth_rejected(self, tmp_path, capsys):
+        # g = 0 and a lossless LC leave kappa_lc_tot = 0, where the
+        # electromechanical damping 4 G^2 / kappa_lc_tot is undefined
+        cfg = write_ini(
+            tmp_path,
+            omit_grid_for("hat270")
+            + "[params]\ng_hz = 0\nkappa_lc_bare_hz = 0\n"
+            + "[omit]\nomega_m_hz = 0.66e6\ncoupling_hz = 1e3\n",
+        )
+        assert run(["omit", "--config", cfg, "--out", str(tmp_path / "o.csv"),
+                    "--preset", "hat270"]) == 2
+        assert "kappa_lc_tot" in capsys.readouterr().err
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_one_model_call_per_run(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        model = electromechanics.multi_mode_omit
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return model(*args, **kwargs)
+
+        monkeypatch.setattr(electromechanics, "multi_mode_omit", counting)
+        monkeypatch.setattr(cli, "multi_mode_omit", counting)
+        cfg = self.omit_ini(
+            tmp_path, "omega_m_hz = 0.66e6\ngamma_m_hz = 10\ngamma_e_hz = 900\n"
+        )
+        assert run(["omit", "--config", cfg, "--out", str(tmp_path / "o.csv"),
+                    "--preset", "hat270"]) == 0
+        assert len(calls) == 1
 
     def test_blue_pump_offset_rejected(self, tmp_path, capsys):
         cfg = self.omit_ini(

@@ -17,11 +17,10 @@ from cavlink import (
     extract_fwhm,
     lower_sideband_pump,
     multi_mode_omit,
-    omit_reflection,
     pumped_lc_params,
     resolved_sideband_ratio,
     s11,
-    shifted_lc_frequency,
+    s21,
     transparency_signal,
 )
 from cavlink.units import TWO_PI
@@ -33,7 +32,7 @@ def window_scenario(gamma_e_hz=900.0, gamma_m_hz=10.0, omega_m_hz=0.66e6, **over
     kappa_lc = effective_rates(params).kappa_lc_tot
     mode = MechanicalMode(TWO_PI * omega_m_hz, TWO_PI * gamma_m_hz)
     coupling = coupling_for_damping(TWO_PI * gamma_e_hz, kappa_lc)
-    pump = lower_sideband_pump(params, mode, coupling=coupling)
+    pump = lower_sideband_pump(params, mode)
     return params, mode, coupling, pump
 
 
@@ -52,8 +51,6 @@ class TestValidation:
     def test_pump_config(self):
         with pytest.raises(InvalidInputError, match="omega_pump"):
             PumpConfig(omega_pump=-1.0)
-        with pytest.raises(InvalidInputError, match="coupling"):
-            PumpConfig(omega_pump=1.0, coupling=-1.0)
         with pytest.raises(InvalidInputError, match="lc_extra_loss"):
             PumpConfig(omega_pump=1.0, lc_extra_loss=-1.0)
 
@@ -66,6 +63,13 @@ class TestValidation:
             multi_mode_omit(params, (mode,), (coupling, coupling), pump, grid)
         with pytest.raises(InvalidInputError, match="non-negative"):
             multi_mode_omit(params, (mode,), (-coupling,), pump, grid)
+
+
+    def test_transparency_signal_needs_s11(self):
+        params, mode, coupling, pump = window_scenario()
+        grid = window_grid(pump, mode, 910.0)
+        with pytest.raises(InvalidInputError, match="s11"):
+            transparency_signal(params, pump, s21(params, grid))
 
 
 class TestRates:
@@ -108,17 +112,14 @@ class TestPumpPlacement:
         mode = MechanicalMode(TWO_PI * 0.66e6)
         shift, extra = -TWO_PI * 50e3, TWO_PI * 20e3
         pump = lower_sideband_pump(params, mode, lc_shift=shift, lc_extra_loss=extra)
-        expected = shifted_lc_frequency(params, lc_shift=shift, lc_extra_loss=extra)
+        expected = dressed_modes(
+            pumped_lc_params(params, lc_shift=shift, lc_extra_loss=extra)
+        ).omega_lc
         assert pump.omega_pump + mode.omega_m == expected
-
-    def test_shifted_lc_frequency_without_shift(self):
-        params = reference_params()
-        assert shifted_lc_frequency(params) == dressed_modes(params).omega_lc
 
     def test_pumped_lc_params(self):
         params = reference_params()
-        pump = PumpConfig(omega_pump=TWO_PI * 6.99e9, lc_shift=-100.0, lc_extra_loss=40.0)
-        shifted = pumped_lc_params(params, pump)
+        shifted = pumped_lc_params(params, lc_shift=-100.0, lc_extra_loss=40.0)
         assert shifted.omega_lc == params.omega_lc - 100.0
         assert shifted.kappa_lc_bare == params.kappa_lc_bare + 40.0
         assert shifted.omega_cav == params.omega_cav
@@ -129,29 +130,21 @@ class TestOmitSpectrum:
         params, mode, _, pump = window_scenario()
         grid = window_grid(pump, mode, 910.0)
         on = multi_mode_omit(params, (mode,), (0.0,), pump, grid)
-        off = s11(pumped_lc_params(params, pump), grid)
+        off = s11(pumped_lc_params(params, lc_shift=pump.lc_shift,
+                                   lc_extra_loss=pump.lc_extra_loss), grid)
         assert np.array_equal(on.values, off.values)
-
-    def test_single_mode_wrapper_matches(self):
-        params, mode, coupling, pump = window_scenario()
-        grid = window_grid(pump, mode, 910.0)
-        via_wrapper = omit_reflection(
-            params, mode, PumpConfig(pump.omega_pump, coupling=coupling), grid
-        )
-        direct = multi_mode_omit(params, (mode,), (coupling,), pump, grid)
-        assert np.array_equal(via_wrapper.values, direct.values)
 
     def test_blue_pump_rejected(self):
         params, mode, coupling, pump = window_scenario()
         grid = window_grid(pump, mode, 910.0)
-        blue = PumpConfig(dressed_modes(params).omega_lc + mode.omega_m, coupling=coupling)
+        blue = PumpConfig(dressed_modes(params).omega_lc + mode.omega_m)
         with pytest.raises(InvalidInputError, match="red-detuned"):
             multi_mode_omit(params, (mode,), (coupling,), blue, grid)
 
     def test_sideband_miss_warns(self):
         params, mode, coupling, pump = window_scenario()
         kappa_lc = effective_rates(params).kappa_lc_tot
-        displaced = PumpConfig(pump.omega_pump - 2.0 * kappa_lc, coupling=coupling)
+        displaced = PumpConfig(pump.omega_pump - 2.0 * kappa_lc)
         grid = window_grid(pump, mode, 910.0)
         with pytest.warns(ValidityWarning, match="misses"):
             multi_mode_omit(params, (mode,), (coupling,), displaced, grid)
@@ -209,7 +202,9 @@ class TestWindowWidth:
         width = 910.0
         f0 = (pump.omega_pump + mode.omega_m) / TWO_PI
         grid = window_grid(pump, mode, width)
-        sig = transparency_signal(params, (mode,), (coupling,), pump, grid)
+        sig = transparency_signal(
+            params, pump, multi_mode_omit(params, (mode,), (coupling,), pump, grid)
+        )
         center, fwhm = extract_fwhm(sig, (f0 - 6 * width, f0 + 6 * width))
         assert fwhm == pytest.approx(width, rel=0.05)
         assert center == pytest.approx(f0, abs=0.05 * width)
@@ -243,11 +238,12 @@ class TestWindowWidth:
                 continue
             mode = MechanicalMode(omega_m, gamma_m)
             coupling = coupling_for_damping(gamma_e, kappa_lc)
-            pump = lower_sideband_pump(params, mode, coupling=coupling)
+            pump = lower_sideband_pump(params, mode)
             width = (gamma_m + gamma_e) / TWO_PI
             f0 = (pump.omega_pump + mode.omega_m) / TWO_PI
             grid = np.linspace(f0 - 10 * width, f0 + 10 * width, 2401)
-            sig = transparency_signal(params, (mode,), (coupling,), pump, grid)
+            on = multi_mode_omit(params, (mode,), (coupling,), pump, grid)
+            sig = transparency_signal(params, pump, on)
             _, fwhm = extract_fwhm(sig, (f0 - 6 * width, f0 + 6 * width))
             err = abs(fwhm - width) / width
             worst = max(worst, err)
@@ -266,12 +262,13 @@ class TestWindowWidth:
             omega_m = rng.uniform(0.7, 1.5) * kappa_lc
             mode = MechanicalMode(omega_m, gamma_m)
             coupling = coupling_for_damping(gamma_e, kappa_lc)
-            pump = lower_sideband_pump(params, mode, coupling=coupling)
+            pump = lower_sideband_pump(params, mode)
             width = (gamma_m + gamma_e) / TWO_PI
             f0 = (pump.omega_pump + mode.omega_m) / TWO_PI
             grid = np.linspace(f0 - 10 * width, f0 + 10 * width, 241)
             step = grid[1] - grid[0]
-            sig = transparency_signal(params, (mode,), (coupling,), pump, grid)
+            on = multi_mode_omit(params, (mode,), (coupling,), pump, grid)
+            sig = transparency_signal(params, pump, on)
             center, _ = extract_fwhm(sig, (f0 - 6 * width, f0 + 6 * width))
             assert abs(center - f0) <= step
 
@@ -283,10 +280,11 @@ class TestWindowWidth:
         f2 = (pump.omega_pump + mode2.omega_m) / TWO_PI
         # the shared pump sits on mode1's sideband; mode2's window still
         # appears at omega_pump + omega_m2, displaced up the dip wall
-        sig = transparency_signal(
+        on = multi_mode_omit(
             params, (mode1, mode2), (coupling, coupling2),
             pump, np.linspace(f1 - 2e4, f2 + 2e4, 120001),
         )
+        sig = transparency_signal(params, pump, on)
         c1, w1 = extract_fwhm(sig, (f1 - 6e3, f1 + 6e3))
         c2, w2 = extract_fwhm(sig, (f2 - 6e3, f2 + 6e3))
         assert c1 == pytest.approx(f1, abs=50.0)
@@ -302,9 +300,10 @@ class TestContinuityAndPassivity:
         params, mode, _, _ = window_scenario(gamma_e_hz=2.0)
         kappa_lc = effective_rates(params).kappa_lc_tot
         anchor = coupling_for_damping(TWO_PI * 2.0, kappa_lc)
-        pump = lower_sideband_pump(params, mode, coupling=anchor)
+        pump = lower_sideband_pump(params, mode)
         grid = window_grid(pump, mode, 910.0)
-        off = s11(pumped_lc_params(params, pump), grid).values
+        off = s11(pumped_lc_params(params, lc_shift=pump.lc_shift,
+                                   lc_extra_loss=pump.lc_extra_loss), grid).values
         deviations = []
         for decade in range(4):
             on = multi_mode_omit(params, (mode,), (anchor / 10.0**decade,), pump, grid)
@@ -323,7 +322,7 @@ class TestContinuityAndPassivity:
             coupling = rng.uniform(0.0, 1.0) * coupling_for_damping(
                 kappa_lc / 10.0, kappa_lc
             )
-            pump = lower_sideband_pump(params, mode, coupling=coupling)
+            pump = lower_sideband_pump(params, mode)
             f0 = (pump.omega_pump + mode.omega_m) / TWO_PI
             span = 3.0 * kappa_lc / TWO_PI
             trace = multi_mode_omit(
@@ -335,5 +334,7 @@ class TestContinuityAndPassivity:
     def test_transparency_signal_zero_without_pump_coupling(self):
         params, mode, _, pump = window_scenario()
         grid = window_grid(pump, mode, 910.0)
-        sig = transparency_signal(params, (mode,), (0.0,), pump, grid)
+        sig = transparency_signal(
+            params, pump, multi_mode_omit(params, (mode,), (0.0,), pump, grid)
+        )
         assert np.array_equal(sig.values, np.zeros(len(grid)))
