@@ -18,18 +18,14 @@ from dataclasses import replace
 import numpy as np
 
 from .coupled_modes import (
+    PARAM_FIELDS,
+    RATE_FIELDS,
     SystemParams,
     effective_rates,
     s11,
     s21,
 )
-from .design import (
-    ALL_PRESETS,
-    SWEEPABLE_FIELDS,
-    SweepSpec,
-    SweepTargets,
-    run_sweep,
-)
+from .design import ALL_PRESETS, HAT_PRESETS, SweepSpec, SweepTargets, run_sweep
 from .electromechanics import (
     MechanicalMode,
     coupling_for_damping,
@@ -69,27 +65,20 @@ EXIT_IO = 3
 EXIT_PARSE = 4
 EXIT_NONCONVERGENCE = 5
 
-_RATE_KEYS = (
-    "kappa_cav_1_hz",
-    "kappa_cav_2_hz",
-    "kappa_cav_loss_hz",
-    "kappa_lc_bare_hz",
-    "g_hz",
-)
 
-
-def _params_from_config(cp, preset: SystemParams | None) -> SystemParams:
-    defaults = preset.to_hz() if preset is not None else {}
-    if preset is not None and not cp.has_section("params"):
-        return preset
-    kwargs = {}
-    for key in ("omega_cav_hz", "omega_lc_hz"):
-        kwargs[key[:-3]] = config_float(cp, "params", key, default=defaults.get(key))
-    for key in _RATE_KEYS:
-        kwargs[key[:-3]] = config_float(
-            cp, "params", key, default=defaults.get(key, 0.0)
-        )
-    return SystemParams.from_hz(**kwargs)
+def _params_from_config(cp, preset_name) -> SystemParams:
+    """[params] over the named preset; with no preset, rates default to 0 Hz
+    and the frequencies are required."""
+    if not preset_name:
+        defaults = {f"{name}_hz": 0.0 for name in RATE_FIELDS}
+    elif cp.has_section("params"):
+        defaults = ALL_PRESETS[preset_name].to_hz()
+    else:
+        return ALL_PRESETS[preset_name]  # as stored: Hz round trips are not bit-exact
+    return SystemParams.from_hz(**{
+        name: config_float(cp, "params", f"{name}_hz", default=defaults.get(f"{name}_hz"))
+        for name in PARAM_FIELDS
+    })
 
 
 def _grid_from_config(cp) -> np.ndarray:
@@ -110,24 +99,27 @@ def _suffixed(path, tag):
     return f"{base}-{tag}{ext}"
 
 
+def _non_negative(read, cp, section, key, default=None):
+    """``read(cp, section, key, default)``, refused when negative."""
+    value = read(cp, section, key, default)
+    if value < 0:
+        raise ConfigError(f"{section}.{key}: must be non-negative, got {value!r}")
+    return value
+
+
 def _cmd_simulate(cp, out, seed, preset_name):
-    if preset_name == "all":
-        presets = [n for n in ALL_PRESETS if n.startswith("hat")]
-    else:
-        presets = [preset_name]
+    presets = list(HAT_PRESETS) if preset_name == "all" else [preset_name]
     grid = _grid_from_config(cp)
+    generators = {"s21": s21, "s11": s11}
     outputs = config_list(cp, "simulate", "outputs", default=["s21"])
     for name in outputs:
-        if name not in ("s21", "s11"):
+        if name not in generators:
             raise ConfigError(f"simulate.outputs: unknown trace {name!r}")
-    noise = config_float(cp, "simulate", "noise_amplitude", default=0.0)
-    generators = {"s21": s21, "s11": s11}
+    noise = _non_negative(config_float, cp, "simulate", "noise_amplitude", 0.0)
 
     written = []
     for i, pname in enumerate(presets):
-        params = _params_from_config(
-            cp, ALL_PRESETS[pname] if pname is not None else None
-        )
+        params = _params_from_config(cp, pname)
         for kind in outputs:
             trace = generators[kind](params, grid)
             if noise > 0.0:
@@ -145,28 +137,26 @@ def _cmd_simulate(cp, out, seed, preset_name):
 
 
 def _fit_config_from(cp, guess: SystemParams) -> FitConfig:
-    free = config_list(cp, "fit", "free_params", default=None)
-    if free is None or not free:
-        raise ConfigError("fit.free_params: missing required value")
+    free = config_list(cp, "fit", "free_params")
     bounds = {}
     for name in free:
         key = f"bound_{name}_hz"
         if cp.has_option("fit", key):
-            raw = config_str(cp, "fit", key)
-            pieces = [p.strip() for p in raw.split(",")]
+            pieces = config_str(cp, "fit", key).split(",")
             if len(pieces) != 2:
                 raise ConfigError(f"fit.{key}: expected 'lo,hi'")
             try:
-                lo, hi = float(pieces[0]), float(pieces[1])
+                bounds[name] = tuple(hz_to_angular(float(p)) for p in pieces)
             except ValueError:
                 raise ConfigError(f"fit.{key}: bounds must be numbers") from None
-            bounds[name] = (hz_to_angular(lo), hz_to_angular(hi))
     return FitConfig(
         free_params=tuple(free),
         initial_guess=guess,
         bounds=bounds,
-        max_iterations=config_int(cp, "fit", "max_iterations", default=200),
-        tolerance=config_float(cp, "fit", "tolerance", default=1e-10),
+        max_iterations=config_int(
+            cp, "fit", "max_iterations", default=FitConfig.max_iterations
+        ),
+        tolerance=config_float(cp, "fit", "tolerance", default=FitConfig.tolerance),
     )
 
 
@@ -190,15 +180,13 @@ def _fit_report(result, config):
 
 
 def _cmd_fit(cp, out, seed, preset_name):
-    preset = ALL_PRESETS[preset_name] if preset_name else None
-    guess = _params_from_config(cp, preset)
-    config = _fit_config_from(cp, guess)
+    config = _fit_config_from(cp, _params_from_config(cp, preset_name))
 
     paths = config_list(cp, "fit", "traces", default=[])
     if not paths:
         paths = [config_str(cp, "fit", "trace")]
-    runs = config_int(cp, "fit", "monte_carlo_runs", default=0)
-    noise = config_float(cp, "fit", "noise_amplitude", default=0.0)
+    runs = _non_negative(config_int, cp, "fit", "monte_carlo_runs", 0)
+    noise = _non_negative(config_float, cp, "fit", "noise_amplitude", 0.0)
 
     if len(paths) > 1:
         shared = config_list(cp, "fit", "shared", default=[])
@@ -226,9 +214,8 @@ def _cmd_fit(cp, out, seed, preset_name):
         for k in range(runs):
             noisy = add_noise(trace, noise, seed + k) if noise > 0.0 else trace
             run_reports.append(_fit_report(fit_trace(noisy, config), config))
-        frees = list(config.free_params)
         stats = {}
-        for name in frees:
+        for name in config.free_params:
             samples = [r["params_hz"][f"{name}_hz"] for r in run_reports]
             stats[f"{name}_hz"] = {
                 "mean": float(np.mean(samples)),
@@ -252,7 +239,7 @@ def _cmd_fit(cp, out, seed, preset_name):
 
 def _sweep_values(cp) -> tuple:
     if cp.has_option("sweep", "values_hz"):
-        items = config_list(cp, "sweep", "values_hz", default=None)
+        items = config_list(cp, "sweep", "values_hz")
         try:
             return tuple(float(v) for v in items)
         except ValueError:
@@ -284,55 +271,49 @@ _SWEEP_COLUMNS = (
 )
 
 
-def _cmd_sweep(cp, out, preset_name):
-    preset = ALL_PRESETS[preset_name] if preset_name else None
-    base = _params_from_config(cp, preset)
-    field = config_str(cp, "sweep", "field")
-    band_lo = config_float(cp, "sweep", "band_lo_hz", default=1.5e6)
-    band_hi = config_float(cp, "sweep", "band_hi_hz", default=2.0e6)
-    targets = SweepTargets(
-        coupling_band_hz=(band_lo, band_hi),
-        omega_m_hz=config_float(cp, "sweep", "omega_m_hz", default=1.5e6),
-        sideband_threshold=config_float(cp, "sweep", "sideband_threshold", default=0.5),
-        max_dissipation_fraction=config_float(
-            cp, "sweep", "max_dissipation_fraction", default=0.30
+def _targets_from_config(cp) -> SweepTargets:
+    """[sweep] target keys; each absent key keeps its SweepTargets default."""
+    band_lo, band_hi = SweepTargets.coupling_band_hz
+    return SweepTargets(
+        coupling_band_hz=(
+            config_float(cp, "sweep", "band_lo_hz", default=band_lo),
+            config_float(cp, "sweep", "band_hi_hz", default=band_hi),
         ),
+        **{
+            name: config_float(cp, "sweep", name, default=getattr(SweepTargets, name))
+            for name in ("omega_m_hz", "sideband_threshold", "max_dissipation_fraction")
+        },
     )
-    spec = SweepSpec(
-        base_params=base, swept_field=field, values_hz=_sweep_values(cp),
-        targets=targets,
-    )
-    result = run_sweep(spec)
 
-    lines = [
-        "# cavlink sweep",
-        f"# field = {field}",
-        ",".join(_SWEEP_COLUMNS),
-    ]
-    for row in result.rows:
+
+def _cell(value) -> str:
+    """One sweep CSV cell: numbers exact, flags as 0/1, absent values blank."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value.replace(",", ";")
+    return format_float(value) if isinstance(value, float) else str(int(value))
+
+
+def _cmd_sweep(cp, out, preset_name):
+    field = config_str(cp, "sweep", "field")
+    spec = SweepSpec(
+        base_params=_params_from_config(cp, preset_name),
+        swept_field=field,
+        values_hz=_sweep_values(cp),
+        targets=_targets_from_config(cp),
+    )
+    lines = ["# cavlink sweep", f"# field = {field}", ",".join(_SWEEP_COLUMNS)]
+    for row in run_sweep(spec).rows:
+        named = {"value_hz": row.value_hz, "valid": row.valid, "message": row.message}
         if row.valid:
-            to_hz = row.rates.to_hz()
-            cells = [
-                format_float(row.value_hz),
-                "1",
-                format_float(to_hz["delta_eff_hz"]),
-                format_float(to_hz["kappa_cav_tot_hz"]),
-                format_float(to_hz["kappa_eff_1_hz"]),
-                format_float(to_hz["kappa_eff_2_hz"]),
-                format_float(to_hz["kappa_eff_loss_hz"]),
-                format_float(to_hz["kappa_lc_loss_hz"]),
-                format_float(to_hz["kappa_lc_tot_hz"]),
-                format_float(to_hz["dissipation_fraction"]),
-                str(int(to_hz["within_validity"])),
-                str(int(row.in_coupling_band)),
-                str(int(row.sideband_resolved)),
-                str(int(row.dissipation_ok)),
-                "",
-            ]
-        else:
-            cells = [format_float(row.value_hz), "0"] + [""] * 12
-            cells.append(row.message.replace(",", ";"))
-        lines.append(",".join(cells))
+            named.update(
+                row.rates.to_hz(),
+                in_coupling_band=row.in_coupling_band,
+                sideband_resolved=row.sideband_resolved,
+                dissipation_ok=row.dissipation_ok,
+            )
+        lines.append(",".join(_cell(named.get(name)) for name in _SWEEP_COLUMNS))
     write_text_atomic(out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -350,10 +331,7 @@ def _optional_rate(cp, section, key):
     """The non-negative rate under ``key`` (given in Hz) in rad/s; None if absent."""
     if not cp.has_option(section, key):
         return None
-    value = config_float(cp, section, key)
-    if value < 0.0:
-        raise ConfigError(f"{section}.{key}: must be non-negative, got {value!r}")
-    return hz_to_angular(value)
+    return hz_to_angular(_non_negative(config_float, cp, section, key))
 
 
 def _modes_from_config(cp):
@@ -379,8 +357,7 @@ def _modes_from_config(cp):
 
 
 def _cmd_omit(cp, out, preset_name):
-    preset = ALL_PRESETS[preset_name] if preset_name else None
-    params = _params_from_config(cp, preset)
+    params = _params_from_config(cp, preset_name)
     grid = _grid_from_config(cp)
     lc_shift = hz_to_angular(config_float(cp, "omit", "lc_shift_hz", default=0.0))
     lc_extra_loss = hz_to_angular(config_float(cp, "omit", "lc_extra_loss_hz", default=0.0))
@@ -459,14 +436,17 @@ def _build_parser():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="INI config path")
         sp.add_argument("--out", required=True, help="output file path")
-        sp.add_argument("--seed", type=int, default=0, help="RNG seed")
+        sp.add_argument("--seed", type=int, default=0, help="non-negative RNG seed")
         choices = list(ALL_PRESETS) + (["all"] if name == "simulate" else [])
         sp.add_argument("--preset", choices=choices, default=None)
     return parser
 
 
 def run(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.seed < 0:
+        parser.error(f"--seed must be non-negative, got {args.seed}")
     try:
         cp = load_config(args.config)
         with warnings.catch_warnings():

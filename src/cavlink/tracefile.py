@@ -187,11 +187,9 @@ def load_config(path) -> configparser.ConfigParser:
 
 
 def config_float(cp, section, key, default=None):
-    if not cp.has_option(section, key):
-        if default is not None:
-            return default
-        raise ConfigError(f"{section}.{key}: missing required value")
-    raw = cp.get(section, key)
+    raw = config_str(cp, section, key, default)
+    if raw is default:  # the key is absent
+        return default
     try:
         value = float(raw)
     except ValueError:
@@ -202,11 +200,9 @@ def config_float(cp, section, key, default=None):
 
 
 def config_int(cp, section, key, default=None):
-    if not cp.has_option(section, key):
-        if default is not None:
-            return default
-        raise ConfigError(f"{section}.{key}: missing required value")
-    raw = cp.get(section, key)
+    raw = config_str(cp, section, key, default)
+    if raw is default:  # the key is absent
+        return default
     try:
         return int(raw)
     except ValueError:
@@ -223,6 +219,7 @@ def config_str(cp, section, key, default=None):
 
 def config_list(cp, section, key, default=None):
     raw = config_str(cp, section, key, default="" if default is not None else None)
-    if not raw:
-        return list(default)
-    return [item.strip() for item in raw.split(",") if item.strip()]
+    items = [item.strip() for item in raw.split(",") if item.strip()]
+    if not items and default is None:
+        raise ConfigError(f"{section}.{key}: must list at least one value")
+    return items or list(default)

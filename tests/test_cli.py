@@ -8,9 +8,18 @@ import numpy as np
 import pytest
 from conftest import merged_grid, reference_params
 
-from cavlink import HAT_PRESETS, cli, dressed_modes, electromechanics, s21
+from cavlink import (
+    HAT_PRESETS,
+    SweepSpec,
+    SweepTargets,
+    cli,
+    dressed_modes,
+    electromechanics,
+    run_sweep,
+    s21,
+)
 from cavlink.cli import run
-from cavlink.tracefile import read_trace, write_trace
+from cavlink.tracefile import format_float, read_trace, write_trace
 from cavlink.units import TWO_PI, angular_to_hz
 
 
@@ -85,6 +94,16 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv"),
                     "--preset", "hat270"]) == 2
         assert "s12" in capsys.readouterr().err
+
+    def test_negative_noise_rejected(self, tmp_path, capsys):
+        cfg = write_ini(
+            tmp_path,
+            grid_section(6.8e9, 7.6e9, 101) + "[simulate]\nnoise_amplitude = -0.01\n",
+        )
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv"),
+                    "--preset", "hat270"]) == 2
+        assert "simulate.noise_amplitude" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_single_point_grid_rejected(self, tmp_path, capsys):
         cfg = write_ini(tmp_path, grid_section(6.8e9, 7.6e9, 1))
@@ -212,6 +231,27 @@ class TestFit:
         assert scatter["mean"] == pytest.approx(57e6, rel=0.01)
         assert 0.0 < scatter["std"] < 0.05 * 57e6
 
+    @pytest.mark.parametrize("lines, key", [
+        ("monte_carlo_runs = -3\n", "fit.monte_carlo_runs"),
+        ("monte_carlo_runs = 3\nnoise_amplitude = -0.01\n", "fit.noise_amplitude"),
+    ], ids=["runs", "noise"])
+    def test_negative_monte_carlo_settings_rejected(self, tmp_path, capsys, lines, key):
+        trace_path, _ = self.make_trace(tmp_path)
+        cfg = write_ini(tmp_path, fit_sections(f"trace = {trace_path}\n{lines}"))
+        out = tmp_path / "mc.json"
+        assert run(["fit", "--config", cfg, "--out", str(out), "--preset", "hat270"]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "non-negative" in err
+        assert not out.exists()
+
+    def test_empty_free_params_rejected(self, tmp_path, capsys):
+        trace_path, _ = self.make_trace(tmp_path)
+        cfg = write_ini(tmp_path, f"[fit]\nfree_params =\ntrace = {trace_path}\n")
+        out = tmp_path / "fit.json"
+        assert run(["fit", "--config", cfg, "--out", str(out), "--preset", "hat270"]) == 2
+        assert "fit.free_params" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_csv_layout_and_verdicts(self, tmp_path, capsys):
@@ -245,6 +285,61 @@ class TestSweep:
         assert rows[1][1] == "0"
         assert rows[1][-1] != ""  # failure reason, commas stripped
         assert rows[0][1] == "1" and rows[2][1] == "1"
+
+    def test_empty_values_rejected(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path, "[sweep]\nfield = g\nvalues_hz =\n")
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--config", cfg, "--out", str(out), "--preset", "hat270"]) == 2
+        assert "sweep.values_hz" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_default_targets(self, tmp_path, capsys):
+        # Each of the five keys flips at least one verdict of this sweep away
+        # from what the SweepTargets defaults give.
+        values = (5e6, 20e6, 35e6, 45e6, -2e6, 57e6, 80e6, 110e6)
+        targets = SweepTargets(
+            coupling_band_hz=(0.4e6, 1.0e6), omega_m_hz=0.9e6,
+            sideband_threshold=0.7, max_dissipation_fraction=0.45,
+        )
+        cfg = write_ini(
+            tmp_path,
+            "[sweep]\nfield = g\nvalues_hz = " + ", ".join(map(repr, values)) + "\n"
+            "band_lo_hz = 0.4e6\nband_hi_hz = 1.0e6\nomega_m_hz = 0.9e6\n"
+            "sideband_threshold = 0.7\nmax_dissipation_fraction = 0.45\n",
+        )
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--config", cfg, "--out", str(out), "--preset", "hat270"]) == 0
+        lines = out.read_text().splitlines()
+        header = lines[2].split(",")
+        rows = [line.split(",") for line in lines[3:]]
+
+        def run_library(targets):
+            spec = SweepSpec(HAT_PRESETS["hat270"], "g", values, targets=targets)
+            return run_sweep(spec).rows
+
+        expected = run_library(targets)
+        verdicts = ("in_coupling_band", "sideband_resolved", "dissipation_ok")
+        columns = [header.index(name) for name in verdicts]
+        assert len(rows) == len(expected)
+        for cells, row in zip(rows, expected):
+            assert cells[1] == str(int(row.valid))
+            if not row.valid:
+                assert all(cells[i] == "" for i in columns)
+                continue
+            assert [cells[i] for i in columns] == [
+                str(int(getattr(row, name))) for name in verdicts
+            ]
+            to_hz = row.rates.to_hz()
+            rate_names = [name for name in to_hz if name != "within_validity"]
+            assert header[2:2 + len(rate_names)] == rate_names
+            assert cells[2:2 + len(rate_names)] == [
+                format_float(to_hz[name]) for name in rate_names
+            ]
+        defaults = run_library(SweepTargets())
+        assert [(r.in_coupling_band, r.sideband_resolved, r.dissipation_ok)
+                for r in expected] != [
+            (r.in_coupling_band, r.sideband_resolved, r.dissipation_ok) for r in defaults
+        ]
 
     def test_unknown_field(self, tmp_path, capsys):
         cfg = write_ini(tmp_path, "[sweep]\nfield = omega_lc\nvalues_hz = 7e9\n")
@@ -392,6 +487,24 @@ class TestOmit:
 
 
 class TestEntryPoint:
+    @pytest.mark.parametrize("command, config", [
+        ("simulate", grid_section(6.8e9, 7.6e9, 101)
+         + "[simulate]\nnoise_amplitude = 0.01\n"),
+        ("fit", "[fit]\nfree_params = g\ntrace = data.csv\n"
+         "monte_carlo_runs = 2\nnoise_amplitude = 0.01\n"),
+    ], ids=["simulate", "fit"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, command, config):
+        hat = HAT_PRESETS["hat270"]
+        write_trace(tmp_path / "data.csv", s21(hat, merged_grid(hat)))
+        cfg = write_ini(tmp_path, config.replace("data.csv", str(tmp_path / "data.csv")))
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--config", cfg, "--out", str(out), "--seed", "-1",
+                 "--preset", "hat270"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_help_runs_as_subprocess(self):
         proc = subprocess.run(
             [sys.executable, "-m", "cavlink.cli", "--help"],

@@ -231,3 +231,9 @@ class TestConfig:
         with pytest.raises(ConfigError, match="fit.trace: missing"):
             config_str(cp, "fit", "trace")
         assert config_list(cp, "fit", "outputs", default=("s21",)) == ["s21"]
+
+    def test_empty_required_list(self, tmp_path):
+        cp = load_config(self.write(tmp_path, "[fit]\nfree_params =\ntraces = ,\n"))
+        with pytest.raises(ConfigError, match="fit.free_params: must list"):
+            config_list(cp, "fit", "free_params")
+        assert config_list(cp, "fit", "traces", default=[]) == []
