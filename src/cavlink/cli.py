@@ -112,9 +112,11 @@ def _cmd_simulate(cp, out, seed, preset_name):
     grid = _grid_from_config(cp)
     generators = {"s21": s21, "s11": s11}
     outputs = config_list(cp, "simulate", "outputs", default=["s21"])
-    for name in outputs:
+    for i, name in enumerate(outputs):
         if name not in generators:
             raise ConfigError(f"simulate.outputs: unknown trace {name!r}")
+        if name in outputs[:i]:
+            raise ConfigError(f"simulate.outputs: trace {name!r} is listed twice")
     noise = _non_negative(config_float, cp, "simulate", "noise_amplitude", 0.0)
 
     written = []

@@ -81,13 +81,7 @@ class SystemParams:
                 )
             object.__setattr__(self, name, value)
         if self.g >= 0.1 * min(self.omega_cav, self.omega_lc):
-            warnings.warn(
-                "g exceeds min(omega_cav, omega_lc)/10; the rotating-wave "
-                "two-mode model is not trustworthy this far into ultrastrong "
-                "coupling",
-                ValidityWarning,
-                stacklevel=2,
-            )
+            _warn_ultrastrong()
 
     @property
     def kappa_cav_tot(self) -> float:
@@ -124,6 +118,18 @@ class SystemParams:
     def to_hz(self) -> dict:
         """Field values in Hz, keyed ``<field>_hz`` (report/file form)."""
         return {f"{name}_hz": angular_to_hz(getattr(self, name)) for name in PARAM_FIELDS}
+
+
+def _warn_ultrastrong():
+    """The ValidityWarning for g >= min(omega_cav, omega_lc)/10, reported at
+    the caller of the function that issues it."""
+    warnings.warn(
+        "g exceeds min(omega_cav, omega_lc)/10; the rotating-wave "
+        "two-mode model is not trustworthy this far into ultrastrong "
+        "coupling",
+        ValidityWarning,
+        stacklevel=3,
+    )
 
 
 class TraceKind(str, Enum):
@@ -579,32 +585,51 @@ def effective_rates(params: SystemParams, *, delta_eff=None) -> DerivedRates:
     delta_eff = float(delta_eff)
     if not np.isfinite(delta_eff):
         raise InvalidInputError(f"delta_eff must be finite, got {delta_eff!r}")
-    ktot = params.kappa_cav_tot
-    lorentz = delta_eff**2 + (0.5 * ktot) ** 2
-    if params.g == 0.0:
-        factor = 0.0
-    elif lorentz == 0.0:
+    rates = [getattr(params, name) for name in RATE_FIELDS]
+    *budget, within_validity, diverges = _rate_budget(*rates, delta_eff)
+    if diverges:
         raise InvalidInputError(
             "effective rates diverge: zero detuning with a lossless cavity"
         )
-    else:
-        factor = params.g**2 / lorentz
-    kappa_eff_1 = params.kappa_cav_1 * factor
-    kappa_eff_2 = params.kappa_cav_2 * factor
-    kappa_eff_loss = params.kappa_cav_loss * factor
-    kappa_lc_loss = params.kappa_lc_bare + kappa_eff_loss
+    return DerivedRates(delta_eff, *budget, within_validity=bool(within_validity))
+
+
+def _rate_budget(k1, k2, k_loss, k_lc, g, delta_eff):
+    """The rate budget of :func:`effective_rates`, broadcasting over arrays.
+
+    Takes the RATE_FIELDS in that order (the three cavity rates, the bare
+    LC loss and g) and a finite detuning, all in rad/s; any may be an
+    array. Returns the :class:`DerivedRates` fields that follow
+    ``delta_eff``, in order, and then a flag that is true where the rates
+    diverge (g > 0 with a lossless cavity at zero detuning); the rates
+    there are placeholders. As in :func:`_mode_solve`, guards add booleans
+    instead of branching, so scalars stay Python floats. Squares are
+    products: Python's ``x**2`` is libm ``pow``, which rounds differently
+    from numpy's square and raises OverflowError where a product gives inf.
+    """
+    ktot = k1 + k2 + k_loss
+    half = 0.5 * ktot
+    lorentz = delta_eff * delta_eff + half * half
+    diverges = (g != 0.0) & (lorentz == 0.0)
+    factor = g * g / (lorentz + (lorentz == 0.0))  # exactly 0 when g = 0
+    kappa_eff_1 = k1 * factor
+    kappa_eff_2 = k2 * factor
+    kappa_eff_loss = k_loss * factor
+    kappa_lc_loss = k_lc + kappa_eff_loss
     kappa_lc_tot = kappa_eff_1 + kappa_eff_2 + kappa_lc_loss
-    fraction = kappa_lc_loss / kappa_lc_tot if kappa_lc_tot > 0.0 else 0.0
-    return DerivedRates(
-        delta_eff=delta_eff,
-        kappa_cav_tot=ktot,
-        kappa_eff_1=kappa_eff_1,
-        kappa_eff_2=kappa_eff_2,
-        kappa_eff_loss=kappa_eff_loss,
-        kappa_lc_loss=kappa_lc_loss,
-        kappa_lc_tot=kappa_lc_tot,
-        dissipation_fraction=fraction,
-        within_validity=bool(abs(delta_eff) >= max(ktot, params.g)),
+    # every rate vanishes with kappa_lc_tot, and the fraction is then 0
+    fraction = kappa_lc_loss / (kappa_lc_tot + (kappa_lc_tot == 0.0))
+    within_validity = (abs(delta_eff) >= ktot) & (abs(delta_eff) >= g)
+    return (
+        ktot,
+        kappa_eff_1,
+        kappa_eff_2,
+        kappa_eff_loss,
+        kappa_lc_loss,
+        kappa_lc_tot,
+        fraction,
+        within_validity,
+        diverges,
     )
 
 
@@ -613,9 +638,10 @@ def resolved_sideband_ratio(kappa_lc_tot: float, omega_m: float) -> float:
 
     Electromechanical protocols want the LC linewidth well below four times
     the mechanical frequency. Callers judge "well below" against a threshold,
-    conventionally :data:`DEFAULT_SIDEBAND_THRESHOLD`.
+    conventionally :data:`DEFAULT_SIDEBAND_THRESHOLD`. ``kappa_lc_tot`` may
+    be an array; every entry must then be in the domain.
     """
-    if not np.isfinite(kappa_lc_tot) or kappa_lc_tot < 0.0:
+    if not np.all(np.isfinite(kappa_lc_tot)) or np.any(kappa_lc_tot < 0.0):
         raise InvalidInputError(
             f"kappa_lc_tot must be non-negative and finite, got {kappa_lc_tot!r}"
         )

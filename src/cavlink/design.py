@@ -12,12 +12,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .coupled_modes import (
+    PARAM_FIELDS,
+    RATE_FIELDS,
     DerivedRates,
     SystemParams,
     effective_rates,
     resolved_sideband_ratio,
     DEFAULT_SIDEBAND_THRESHOLD,
+    _mode_diagonal,
+    _mode_solve,
+    _rate_budget,
+    _theta,
+    _warn_ultrastrong,
 )
 from .errors import BranchAssignmentError, InvalidInputError, NoSolutionError
 from .units import angular_to_hz, hz_to_angular
@@ -97,50 +106,100 @@ class SweepResult:
         return len(self.rows)
 
 
-def _evaluate_point(base, swept_field, value_hz, targets):
-    # pure function of (base, value): rows are order-independent
+def _column(values, n):
+    """``values`` (an array of n entries, or one scalar for all n) as a list
+    of Python scalars."""
+    values = np.asarray(values).tolist()
+    return values if isinstance(values, list) else [values] * n
+
+
+def _refusal(base, swept_field, value_hz):
+    """The library's own error text for a value the array pass refused: the
+    scalar path raises it for that one value."""
     value = hz_to_angular(value_hz)
     try:
         if swept_field == "delta_eff":
-            rates = effective_rates(base, delta_eff=value)
+            effective_rates(base, delta_eff=value)
         else:
-            rates = effective_rates(base.replace(**{swept_field: value}))
+            effective_rates(base.replace(**{swept_field: value}))
     except (InvalidInputError, BranchAssignmentError) as exc:
-        return SweepRow(
-            value_hz=value_hz,
-            valid=False,
-            rates=None,
-            in_coupling_band=False,
-            sideband_resolved=False,
-            dissipation_ok=False,
-            message=str(exc),
-        )
-    keff1_hz = angular_to_hz(rates.kappa_eff_1)
-    lo, hi = targets.coupling_band_hz
-    ratio = resolved_sideband_ratio(
-        rates.kappa_lc_tot, hz_to_angular(targets.omega_m_hz)
-    )
-    return SweepRow(
-        value_hz=value_hz,
-        valid=True,
-        rates=rates,
-        in_coupling_band=lo <= keff1_hz <= hi,
-        sideband_resolved=ratio < targets.sideband_threshold,
-        dissipation_ok=rates.dissipation_fraction <= targets.max_dissipation_fraction,
+        return str(exc)
+    raise AssertionError(
+        f"{swept_field} = {value_hz!r} Hz was refused by the array pass "
+        "but passes the scalar checks"
     )
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the derived rates and target verdicts at every sweep value.
 
-    Values that violate parameter invariants (for example a negative rate)
-    produce a flagged invalid row instead of aborting the sweep.
+    The whole sweep is one array pass: one closed-form mode solve (unless
+    delta_eff is swept) and one rate budget over all values. Values that
+    violate parameter invariants (for example a negative rate) keep their
+    place as invalid rows instead of aborting the sweep; each carries the
+    message the library's own check raises for that value.
     """
-    rows = tuple(
-        _evaluate_point(spec.base_params, spec.swept_field, v, spec.targets)
-        for v in spec.values_hz
+    base, name, targets = spec.base_params, spec.swept_field, spec.targets
+    x = hz_to_angular(np.array(spec.values_hz))
+    # the check SystemParams (or effective_rates, for delta_eff) makes
+    valid = np.isfinite(x)
+    if name == "omega_cav":
+        valid &= x > 0.0
+    elif name != "delta_eff":
+        valid &= x >= 0.0
+    x = np.where(valid, x, 0.0)  # refused values stay out of the arithmetic
+    p = dict(zip(PARAM_FIELDS, _theta(base)))
+    if name == "delta_eff":
+        delta = x
+        noisy = False
+    else:
+        p[name] = x
+        # dressed_modes on every value at once: the same diagonals, the
+        # g = 0 shortcut and the 50/50 test, per element
+        a = np.empty(x.shape, dtype=complex)
+        a.real = p["omega_cav"]
+        a.imag = -0.5 * (p["kappa_cav_1"] + p["kappa_cav_2"] + p["kappa_cav_loss"])
+        lam_cav, lam_lc, weight = _mode_solve(a, _mode_diagonal(base)[1], p["g"])
+        coupled = p["g"] != 0.0
+        delta = np.where(
+            coupled, lam_cav.real - lam_lc.real, p["omega_cav"] - p["omega_lc"]
+        )
+        valid &= ~(coupled & (weight - (1.0 - weight) < 1e-9))
+        valid &= np.isfinite(delta)
+        noisy = p["g"] >= 0.1 * np.minimum(p["omega_cav"], p["omega_lc"])
+    budget = _rate_budget(*(p[field] for field in RATE_FIELDS), delta)
+    _, keff1, keff2, _, lc_loss, lc_tot, fraction, _, diverges = budget
+    # effective_rates refuses diverging rates; DerivedRates, a budget that
+    # is not the exact sum or a fraction outside [0, 1]
+    valid &= ~diverges & (lc_tot == keff1 + keff2 + lc_loss)
+    valid &= (0.0 <= fraction) & (fraction <= 1.0)
+
+    lo, hi = targets.coupling_band_hz
+    keff1_hz = angular_to_hz(keff1)
+    ratio = resolved_sideband_ratio(
+        np.where(valid, lc_tot, 0.0), hz_to_angular(targets.omega_m_hz)
     )
-    return SweepResult(spec=spec, rows=rows)
+    flags = zip(
+        valid.tolist(),
+        _column(noisy, x.size),
+        ((lo <= keff1_hz) & (keff1_hz <= hi)).tolist(),
+        (ratio < targets.sideband_threshold).tolist(),
+        (fraction <= targets.max_dissipation_fraction).tolist(),
+    )
+    columns = zip(*(_column(c, x.size) for c in (delta, *budget[:-1])))
+    rows = []
+    for value_hz, fields, (ok, warn, band, sideband, dissipation) in zip(
+        spec.values_hz, columns, flags
+    ):
+        if ok:
+            if warn:
+                _warn_ultrastrong()
+            rates = DerivedRates(*fields)
+            rows.append(SweepRow(value_hz, True, rates, band, sideband, dissipation))
+        else:
+            message = _refusal(base, name, value_hz)
+            rows.append(SweepRow(value_hz, False, None, False, False, False, message))
+    return SweepResult(spec=spec, rows=tuple(rows))
 
 
 def find_target_detuning(base: SystemParams, target_keff1_hz: float) -> float:

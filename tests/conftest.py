@@ -7,6 +7,8 @@ and dense across the LC feature.
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.errors import InvalidArgument
 
 from cavlink import (
     SystemParams,
@@ -15,6 +17,16 @@ from cavlink import (
     dressed_modes,
     effective_rates,
 )
+
+# `pytest --hypothesis-profile=ci` prints the @reproduce_failure blob of a
+# failing property, so that a failure seen in CI can be replayed anywhere.
+# Recent hypothesis versions ship a "ci" profile of their own (and load it on
+# CI hosts); the profile registered here keeps all of its settings.
+try:
+    _hypothesis_ci = settings.get_profile("ci")
+except InvalidArgument:
+    _hypothesis_ci = None
+settings.register_profile("ci", _hypothesis_ci, print_blob=True)
 
 
 def reference_params(delta_bare_hz=520e6, **overrides_hz):

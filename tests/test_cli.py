@@ -95,6 +95,18 @@ class TestSimulate:
                     "--preset", "hat270"]) == 2
         assert "s12" in capsys.readouterr().err
 
+    def test_repeated_output_rejected(self, tmp_path, capsys):
+        cfg = write_ini(
+            tmp_path,
+            grid_section(6.8e9, 7.6e9, 101) + "[simulate]\noutputs = s21, s11, s21\n",
+        )
+        assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv"),
+                    "--preset", "hat270"]) == 2
+        captured = capsys.readouterr()
+        assert "simulate.outputs" in captured.err and "'s21'" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.glob("x*.csv")) == []
+
     def test_negative_noise_rejected(self, tmp_path, capsys):
         cfg = write_ini(
             tmp_path,

@@ -313,3 +313,149 @@ class TestDressedDetuningInverse:
         assert angular_to_hz(dressed_modes(near).delta_eff) == pytest.approx(
             edge * (1 + 1e-7), rel=1e-12
         )
+
+
+# -- the array sweep against the scalar library path --------------------------
+
+import math  # noqa: E402
+import warnings  # noqa: E402
+
+from cavlink import (  # noqa: E402
+    SWEEPABLE_FIELDS,
+    BranchAssignmentError,
+    ValidityWarning,
+    resolved_sideband_ratio,
+)
+
+_RATE_NAMES = (
+    "delta_eff",
+    "kappa_cav_tot",
+    "kappa_eff_1",
+    "kappa_eff_2",
+    "kappa_eff_loss",
+    "kappa_lc_loss",
+    "kappa_lc_tot",
+    "dissipation_fraction",
+)
+_BAD = st.sampled_from((math.inf, -math.inf, math.nan))
+# Valid draws per field (Hz), then refused ones: negative rates, 0 or a
+# negative cavity frequency, non-finite values. 7 GHz puts the cavity on
+# the LC of every preset, and g crosses the ultrastrong 0.1 * omega_lc.
+_SWEEP_VALUES = {
+    "omega_cav": st.floats(5e9, 10e9) | st.just(7e9) | st.floats(-1e10, 0.0) | _BAD,
+    "kappa_cav_1": st.floats(0.0, 500e6) | st.floats(-1e9, -1e-3) | _BAD,
+    "kappa_cav_2": st.floats(0.0, 500e6) | st.floats(-1e9, -1e-3) | _BAD,
+    "g": st.floats(0.0, 1e9) | st.floats(-1e9, -1e-3) | _BAD,
+    "delta_eff": st.floats(-3e9, 3e9) | st.just(0.0) | _BAD,
+}
+
+
+def _scalar_rates(base, field, value_hz):
+    """The scalar path for one value: (DerivedRates, "") or (None, message)."""
+    value = hz_to_angular(value_hz)
+    try:
+        if field == "delta_eff":
+            return effective_rates(base, delta_eff=value), ""
+        return effective_rates(base.replace(**{field: value})), ""
+    except (InvalidInputError, BranchAssignmentError) as exc:
+        return None, str(exc)
+
+
+def _recorded(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = call()
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+def _near(value, threshold):
+    return abs(value - threshold) <= 1e-12 * abs(threshold)
+
+
+def assert_sweep_matches_scalar(base, field, values_hz, targets=SweepTargets()):
+    """Each row of run_sweep against the scalar path for its value: order,
+    flag and message exact, rates to 1e-12, the budget identity exact,
+    verdicts equal away from their thresholds, the same warnings."""
+    result, swept = _recorded(lambda: run_sweep(SweepSpec(base, field, values_hz, targets)))
+    reference, scalar = _recorded(
+        lambda: [_scalar_rates(base, field, v) for v in result.spec.values_hz]
+    )
+    assert swept == scalar
+    assert len(result) == len(values_hz)
+    lo, hi = targets.coupling_band_hz
+    for row, value_hz, (rates, message) in zip(result.rows, values_hz, reference):
+        assert row.value_hz == value_hz or (math.isnan(value_hz) and math.isnan(row.value_hz))
+        assert (row.valid, row.message) == (rates is not None, message)
+        if rates is None:
+            assert row.rates is None
+            assert not (row.in_coupling_band or row.sideband_resolved or row.dissipation_ok)
+            continue
+        got = row.rates
+        for name in _RATE_NAMES:
+            want = getattr(rates, name)
+            assert abs(getattr(got, name) - want) <= 1e-12 * abs(want), name
+        assert got.kappa_lc_tot == got.kappa_eff_1 + got.kappa_eff_2 + got.kappa_lc_loss
+        assert got.kappa_lc_loss == base.kappa_lc_bare + got.kappa_eff_loss
+        edge = max(rates.kappa_cav_tot, base.g if field != "g" else hz_to_angular(value_hz))
+        if not _near(abs(rates.delta_eff), edge):
+            assert got.within_validity == rates.within_validity
+        keff1_hz = angular_to_hz(rates.kappa_eff_1)
+        if not (_near(keff1_hz, lo) or _near(keff1_hz, hi)):
+            assert row.in_coupling_band == (lo <= keff1_hz <= hi)
+        ratio = resolved_sideband_ratio(rates.kappa_lc_tot, hz_to_angular(targets.omega_m_hz))
+        if not _near(ratio, targets.sideband_threshold):
+            assert row.sideband_resolved == (ratio < targets.sideband_threshold)
+        fraction = rates.dissipation_fraction
+        if not _near(fraction, targets.max_dissipation_fraction):
+            assert row.dissipation_ok == (fraction <= targets.max_dissipation_fraction)
+    return result, swept
+
+
+@st.composite
+def sweeps(draw):
+    """A preset, a sweepable field and a mix of valid and refused values."""
+    base = ALL_PRESETS[draw(st.sampled_from(sorted(ALL_PRESETS)))]
+    field = draw(st.sampled_from(SWEEPABLE_FIELDS))
+    values = draw(st.lists(_SWEEP_VALUES[field], min_size=1, max_size=12))
+    return base, field, values
+
+
+class TestArraySweepMatchesScalarPath:
+    @settings(max_examples=300, deadline=None)
+    @given(sweeps())
+    def test_rows_match_scalar_path(self, sweep):
+        assert_sweep_matches_scalar(*sweep)
+
+    @pytest.mark.parametrize("field", SWEEPABLE_FIELDS)
+    def test_uncoupled_base(self, field):
+        base = HAT_PRESETS["hat270"].replace(g=0.0)
+        values = {
+            "omega_cav": (6.9e9, 7e9, 7.5e9, -1.0),
+            "kappa_cav_1": (0.0, 150e6, -5e6),
+            "kappa_cav_2": (0.0, 5e6, math.nan),
+            "g": (0.0, 57e6, math.inf),
+            "delta_eff": (0.0, 520e6, -math.inf),
+        }[field]
+        result, _ = assert_sweep_matches_scalar(base, field, values)
+        assert any(row.valid for row in result.rows)
+
+    def test_lossless_cavity_at_zero_detuning(self):
+        base = DESIGN_PRESET.replace(kappa_cav_1=0.0)
+        result, _ = assert_sweep_matches_scalar(base, "delta_eff", (100e6, 0.0, -100e6))
+        assert [row.valid for row in result.rows] == [True, False, True]
+        assert "effective rates diverge" in result.rows[1].message
+
+    def test_symmetric_crossing(self):
+        # the golden omega_cav sweep's 50/50 point: the cavity on the LC.
+        # 0.05 Hz off it the weights differ by ~6e-10, under the 1e-9
+        # the branch labels need; 10 Hz off, by ~1.3e-7.
+        values = (7.52e9, 7e9, 7e9 + 0.05, 7e9 + 10.0, 6.9e9)
+        result, _ = assert_sweep_matches_scalar(HAT_PRESETS["hat270"], "omega_cav", values)
+        assert [row.valid for row in result.rows] == [True, False, False, True, True]
+        assert "50/50" in result.rows[1].message
+
+    def test_ultrastrong_warning_once_per_row(self):
+        # 0.1 omega_lc is 700 MHz; -1 Hz is refused before any warning
+        values = (57e6, 690e6, 710e6, -1.0, 800e6, 2e9)
+        _, swept = assert_sweep_matches_scalar(HAT_PRESETS["hat270"], "g", values)
+        assert [category for category, _ in swept] == [ValidityWarning] * 3
