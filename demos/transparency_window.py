@@ -24,12 +24,12 @@ from cavlink.units import TWO_PI, angular_to_hz
 def window_profile(params, mode, gamma_e_hz, points=1201):
     kappa_lc = effective_rates(params).kappa_lc_tot
     coupling = coupling_for_damping(TWO_PI * gamma_e_hz, kappa_lc)
-    pump = lower_sideband_pump(params, mode)
-    center = (pump.omega_pump + mode.omega_m) / TWO_PI
+    omega_pump = lower_sideband_pump(params, mode)
+    center = (omega_pump + mode.omega_m) / TWO_PI
     width = gamma_e_hz + mode.gamma_m / TWO_PI
     grid = np.linspace(center - 10 * width, center + 10 * width, points)
-    on = multi_mode_omit(params, [mode], [coupling], pump, grid)
-    signal = transparency_signal(params, pump, on)
+    on = multi_mode_omit(params, [mode], [coupling], omega_pump, grid)
+    signal = transparency_signal(params, on)
     return signal, center, width
 
 

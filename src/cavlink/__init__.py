@@ -33,7 +33,6 @@ from .design import (
 )
 from .electromechanics import (
     MechanicalMode,
-    PumpConfig,
     coupling_for_damping,
     electromechanical_damping,
     lower_sideband_pump,

@@ -13,7 +13,6 @@ import argparse
 import os
 import sys
 import warnings
-from dataclasses import replace
 
 import numpy as np
 
@@ -99,11 +98,12 @@ def _suffixed(path, tag):
     return f"{base}-{tag}{ext}"
 
 
-def _non_negative(read, cp, section, key, default=None):
-    """``read(cp, section, key, default)``, refused when negative."""
+def _checked(read, cp, section, key, rule, default=None):
+    """``read(cp, section, key, default)``, refused unless it is ``rule``
+    ("non-negative", "positive" or "in (0, 1)"); the error quotes the value as written."""
     value = read(cp, section, key, default)
-    if value < 0:
-        raise ConfigError(f"{section}.{key}: must be non-negative, got {value!r}")
+    if not {"non-negative": value >= 0, "positive": value > 0, "in (0, 1)": 0 < value < 1}[rule]:
+        raise ConfigError(f"{section}.{key}: must be {rule}, got {config_str(cp, section, key)}")
     return value
 
 
@@ -117,7 +117,7 @@ def _cmd_simulate(cp, out, seed, preset_name):
             raise ConfigError(f"simulate.outputs: unknown trace {name!r}")
         if name in outputs[:i]:
             raise ConfigError(f"simulate.outputs: trace {name!r} is listed twice")
-    noise = _non_negative(config_float, cp, "simulate", "noise_amplitude", 0.0)
+    noise = _checked(config_float, cp, "simulate", "noise_amplitude", "non-negative", 0.0)
 
     written = []
     for i, pname in enumerate(presets):
@@ -155,10 +155,12 @@ def _fit_config_from(cp, guess: SystemParams) -> FitConfig:
         free_params=tuple(free),
         initial_guess=guess,
         bounds=bounds,
-        max_iterations=config_int(
-            cp, "fit", "max_iterations", default=FitConfig.max_iterations
+        max_iterations=_checked(
+            config_int, cp, "fit", "max_iterations", "positive", FitConfig.max_iterations
         ),
-        tolerance=config_float(cp, "fit", "tolerance", default=FitConfig.tolerance),
+        tolerance=_checked(
+            config_float, cp, "fit", "tolerance", "in (0, 1)", FitConfig.tolerance
+        ),
     )
 
 
@@ -187,8 +189,8 @@ def _cmd_fit(cp, out, seed, preset_name):
     paths = config_list(cp, "fit", "traces", default=[])
     if not paths:
         paths = [config_str(cp, "fit", "trace")]
-    runs = _non_negative(config_int, cp, "fit", "monte_carlo_runs", 0)
-    noise = _non_negative(config_float, cp, "fit", "noise_amplitude", 0.0)
+    runs = _checked(config_int, cp, "fit", "monte_carlo_runs", "non-negative", 0)
+    noise = _checked(config_float, cp, "fit", "noise_amplitude", "non-negative", 0.0)
 
     if len(paths) > 1:
         shared = config_list(cp, "fit", "shared", default=[])
@@ -333,7 +335,7 @@ def _optional_rate(cp, section, key):
     """The non-negative rate under ``key`` (given in Hz) in rad/s; None if absent."""
     if not cp.has_option(section, key):
         return None
-    return hz_to_angular(_non_negative(config_float, cp, section, key))
+    return hz_to_angular(_checked(config_float, cp, section, key, "non-negative"))
 
 
 def _modes_from_config(cp):
@@ -345,8 +347,10 @@ def _modes_from_config(cp):
     entries = []
     for section in sections:
         mode = MechanicalMode(
-            omega_m=hz_to_angular(config_float(cp, section, "omega_m_hz")),
-            gamma_m=hz_to_angular(config_float(cp, section, "gamma_m_hz", default=0.0)),
+            omega_m=hz_to_angular(_checked(config_float, cp, section, "omega_m_hz", "positive")),
+            gamma_m=hz_to_angular(
+                _checked(config_float, cp, section, "gamma_m_hz", "non-negative", 0.0)
+            ),
         )
         coupling = _optional_rate(cp, section, "coupling_hz")
         gamma_e = _optional_rate(cp, section, "gamma_e_hz")
@@ -361,12 +365,15 @@ def _modes_from_config(cp):
 def _cmd_omit(cp, out, preset_name):
     params = _params_from_config(cp, preset_name)
     grid = _grid_from_config(cp)
-    lc_shift = hz_to_angular(config_float(cp, "omit", "lc_shift_hz", default=0.0))
-    lc_extra_loss = hz_to_angular(config_float(cp, "omit", "lc_extra_loss_hz", default=0.0))
+    pumped = pumped_lc_params(
+        params,
+        lc_shift=hz_to_angular(config_float(cp, "omit", "lc_shift_hz", default=0.0)),
+        lc_extra_loss=hz_to_angular(
+            _checked(config_float, cp, "omit", "lc_extra_loss_hz", "non-negative", 0.0)
+        ),
+    )
     pump_offset = hz_to_angular(config_float(cp, "omit", "pump_offset_hz", default=0.0))
-
-    shifted = pumped_lc_params(params, lc_shift=lc_shift, lc_extra_loss=lc_extra_loss)
-    kappa_lc_tot = effective_rates(shifted).kappa_lc_tot
+    kappa_lc_tot = effective_rates(pumped).kappa_lc_tot
 
     modes = []
     couplings = []
@@ -377,20 +384,16 @@ def _cmd_omit(cp, out, preset_name):
         couplings.append(0.0 if coupling is None else coupling)
     gamma_es = [electromechanical_damping(c, kappa_lc_tot) for c in couplings]
 
-    pump = lower_sideband_pump(
-        params, modes[0], lc_shift=lc_shift, lc_extra_loss=lc_extra_loss
-    )
-    pump = replace(pump, omega_pump=pump.omega_pump + pump_offset)
-
-    trace = multi_mode_omit(params, modes, couplings, pump, grid)
+    omega_pump = lower_sideband_pump(pumped, modes[0]) + pump_offset
+    trace = multi_mode_omit(pumped, modes, couplings, omega_pump, grid)
     write_trace(out, trace)
 
-    signal = transparency_signal(params, pump, trace)
-    pump_hz = angular_to_hz(pump.omega_pump)
+    signal = transparency_signal(pumped, trace)
+    pump_hz = angular_to_hz(omega_pump)
     windows = []
     for mode, gamma_e in zip(modes, gamma_es):
         width_hz = angular_to_hz(mode.gamma_m + gamma_e)
-        predicted_hz = angular_to_hz(pump.omega_pump + mode.omega_m)
+        predicted_hz = angular_to_hz(omega_pump + mode.omega_m)
         entry = {"predicted_center_hz": predicted_hz}
         lo = max(predicted_hz - 6.0 * width_hz, grid[0])
         hi = min(predicted_hz + 6.0 * width_hz, grid[-1])

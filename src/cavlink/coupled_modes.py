@@ -477,14 +477,6 @@ def dressed_modes(params: SystemParams) -> DressedModes:
         If both eigenvectors hybridize exactly 50/50 (symmetric crossing);
         use :func:`hybridized_eigenvalues` if only the eigenvalues matter.
     """
-    if params.g == 0.0:
-        return DressedModes(
-            omega_cav=params.omega_cav,
-            kappa_cav=params.kappa_cav_tot,
-            omega_lc=params.omega_lc,
-            kappa_lc=params.kappa_lc_bare,
-            cavity_weight=1.0,
-        )
     lam_cav, lam_lc, weight = _mode_solve(*_mode_diagonal(params), params.g)
     weight = float(weight)
     # the LC-like branch carries the complementary weight 1 - weight
@@ -492,11 +484,12 @@ def dressed_modes(params: SystemParams) -> DressedModes:
         raise BranchAssignmentError(
             "eigenvectors hybridize 50/50; cavity/LC branches cannot be assigned"
         )
+    # 0.0 - x rather than -x: a zero linewidth comes back +0.0, not -0.0
     return DressedModes(
         omega_cav=float(lam_cav.real),
-        kappa_cav=float(-2.0 * lam_cav.imag),
+        kappa_cav=float(0.0 - 2.0 * lam_cav.imag),
         omega_lc=float(lam_lc.real),
-        kappa_lc=float(-2.0 * lam_lc.imag),
+        kappa_lc=float(0.0 - 2.0 * lam_lc.imag),
         cavity_weight=weight,
     )
 

@@ -154,17 +154,14 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         noisy = False
     else:
         p[name] = x
-        # dressed_modes on every value at once: the same diagonals, the
-        # g = 0 shortcut and the 50/50 test, per element
+        # dressed_modes on every value at once: the same diagonals and the
+        # 50/50 test, per element
         a = np.empty(x.shape, dtype=complex)
         a.real = p["omega_cav"]
         a.imag = -0.5 * (p["kappa_cav_1"] + p["kappa_cav_2"] + p["kappa_cav_loss"])
         lam_cav, lam_lc, weight = _mode_solve(a, _mode_diagonal(base)[1], p["g"])
-        coupled = p["g"] != 0.0
-        delta = np.where(
-            coupled, lam_cav.real - lam_lc.real, p["omega_cav"] - p["omega_lc"]
-        )
-        valid &= ~(coupled & (weight - (1.0 - weight) < 1e-9))
+        delta = lam_cav.real - lam_lc.real
+        valid &= ~(weight - (1.0 - weight) < 1e-9)
         valid &= np.isfinite(delta)
         noisy = p["g"] >= 0.1 * np.minimum(p["omega_cav"], p["omega_lc"])
     budget = _rate_budget(*(p[field] for field in RATE_FIELDS), delta)

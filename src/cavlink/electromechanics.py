@@ -9,7 +9,8 @@ the mechanical linewidth broadened by the electromechanical damping:
 
 The pump also shifts and deepens the LC resonance; that is modeled with the
 phenomenological ``lc_shift`` and ``lc_extra_loss`` knobs of
-:class:`PumpConfig` rather than derived from pump power.
+:func:`pumped_lc_params` rather than derived from pump power. The OMIT
+functions take the parameters it returns and the pump frequency in rad/s.
 """
 
 from __future__ import annotations
@@ -52,37 +53,6 @@ class MechanicalMode:
             )
 
 
-@dataclass(frozen=True)
-class PumpConfig:
-    """Pump tone settings (rad/s).
-
-    Attributes
-    ----------
-    omega_pump : float
-        Pump frequency; must stay below the (shifted) LC resonance.
-    lc_shift : float
-        Signed pump-induced shift of the LC resonance.
-    lc_extra_loss : float
-        Pump-induced extra LC loss >= 0 (the "deepening" of the dip).
-    """
-
-    omega_pump: float
-    lc_shift: float = 0.0
-    lc_extra_loss: float = 0.0
-
-    def __post_init__(self):
-        if not np.isfinite(self.omega_pump) or self.omega_pump <= 0.0:
-            raise InvalidInputError(
-                f"omega_pump must be positive and finite (rad/s), got {self.omega_pump!r}"
-            )
-        if not np.isfinite(self.lc_shift):
-            raise InvalidInputError(f"lc_shift must be finite, got {self.lc_shift!r}")
-        if not np.isfinite(self.lc_extra_loss) or self.lc_extra_loss < 0.0:
-            raise InvalidInputError(
-                f"lc_extra_loss must be non-negative and finite, got {self.lc_extra_loss!r}"
-            )
-
-
 def electromechanical_damping(coupling, kappa_lc_tot, *, omega_m=None):
     """gamma_e = 4 G^2 / kappa_lc_tot, the pump-induced mechanical damping.
 
@@ -119,26 +89,31 @@ def coupling_for_damping(gamma_e, kappa_lc_tot):
 def pumped_lc_params(
     params: SystemParams, *, lc_shift=0.0, lc_extra_loss=0.0
 ) -> SystemParams:
-    """Parameters with a pump's LC shift and extra loss folded in."""
+    """Parameters with a pump's LC shift and extra loss folded in.
+
+    ``lc_shift`` is the signed pump-induced shift of the LC resonance and
+    ``lc_extra_loss`` >= 0 the pump-induced extra LC loss (the "deepening"
+    of the dip), both in rad/s.
+    """
+    if not np.isfinite(lc_shift):
+        raise InvalidInputError(f"lc_shift must be finite, got {lc_shift!r}")
+    if not np.isfinite(lc_extra_loss) or lc_extra_loss < 0.0:
+        raise InvalidInputError(
+            f"lc_extra_loss must be non-negative and finite, got {lc_extra_loss!r}"
+        )
     return params.replace(
         omega_lc=params.omega_lc + lc_shift,
         kappa_lc_bare=params.kappa_lc_bare + lc_extra_loss,
     )
 
 
-def lower_sideband_pump(
-    params: SystemParams, mode: MechanicalMode, *, lc_shift=0.0, lc_extra_loss=0.0
-) -> PumpConfig:
-    """PumpConfig sitting exactly on the lower mechanical sideband."""
-    shifted = pumped_lc_params(params, lc_shift=lc_shift, lc_extra_loss=lc_extra_loss)
-    return PumpConfig(
-        omega_pump=dressed_modes(shifted).omega_lc - mode.omega_m,
-        lc_shift=lc_shift,
-        lc_extra_loss=lc_extra_loss,
-    )
+def lower_sideband_pump(pumped: SystemParams, mode: MechanicalMode) -> float:
+    """Pump frequency (rad/s) exactly on ``mode``'s lower sideband of the
+    dressed LC line of the pumped parameters."""
+    return dressed_modes(pumped).omega_lc - mode.omega_m
 
 
-def multi_mode_omit(params, modes, couplings, pump, freqs) -> ComplexTrace:
+def multi_mode_omit(pumped, modes, couplings, omega_pump, freqs) -> ComplexTrace:
     """Port-1 reflection with several mechanical modes dressed by one pump.
 
     Each mode contributes an additive self-energy to the inverse LC
@@ -152,12 +127,14 @@ def multi_mode_omit(params, modes, couplings, pump, freqs) -> ComplexTrace:
 
     Parameters
     ----------
-    params : SystemParams
+    pumped : SystemParams
+        The system with the pump's LC shift and extra loss folded in, as
+        :func:`pumped_lc_params` returns it.
     modes : sequence of MechanicalMode
     couplings : sequence of float
         Per-mode pump-enhanced coupling G_j >= 0 (rad/s), parallel to modes.
-    pump : PumpConfig
-        Supplies pump frequency, LC shift, and extra loss.
+    omega_pump : float
+        Pump frequency (rad/s).
     freqs : array
         Probe grid in Hz.
 
@@ -169,7 +146,8 @@ def multi_mode_omit(params, modes, couplings, pump, freqs) -> ComplexTrace:
     Raises
     ------
     InvalidInputError
-        For a blue-detuned or on-resonance pump (no gain regime here).
+        Unless 0 < omega_pump < the pumped dressed LC frequency: a
+        blue-detuned or on-resonance pump is a gain regime not modeled here.
     SingularResponseError
         If an undamped mode's sideband coincides exactly with a probe point.
     """
@@ -194,18 +172,15 @@ def multi_mode_omit(params, modes, couplings, pump, freqs) -> ComplexTrace:
                     stacklevel=2,
                 )
 
-    shifted = pumped_lc_params(
-        params, lc_shift=pump.lc_shift, lc_extra_loss=pump.lc_extra_loss
-    )
-    dressed = dressed_modes(shifted)
-    if pump.omega_pump >= dressed.omega_lc:
+    dressed = dressed_modes(pumped)
+    if not 0.0 < omega_pump < dressed.omega_lc:
         raise InvalidInputError(
-            "pump must be red-detuned: omega_pump is at or above the "
-            "pump-shifted LC resonance"
+            "pump must be red-detuned: omega_pump must be positive and below "
+            "the pump-shifted LC resonance"
         )
-    kappa_lc_tot = effective_rates(shifted, delta_eff=dressed.delta_eff).kappa_lc_tot
+    kappa_lc_tot = effective_rates(pumped, delta_eff=dressed.delta_eff).kappa_lc_tot
     for i, mode in enumerate(modes):
-        if abs(pump.omega_pump - (dressed.omega_lc - mode.omega_m)) >= kappa_lc_tot:
+        if abs(omega_pump - (dressed.omega_lc - mode.omega_m)) >= kappa_lc_tot:
             warnings.warn(
                 f"pump misses mechanical mode {i}'s lower sideband by more "
                 "than kappa_lc_tot; the transparency window will be weak "
@@ -215,25 +190,25 @@ def multi_mode_omit(params, modes, couplings, pump, freqs) -> ComplexTrace:
             )
 
     om = _probe_angular(freqs)
-    lc_inverse = _lc_inverse_bare(shifted.omega_lc, shifted.kappa_lc_bare, om)
+    lc_inverse = _lc_inverse_bare(pumped.omega_lc, pumped.kappa_lc_bare, om)
     for mode, coupling in zip(modes, couplings):
         if coupling == 0.0:
             continue
-        den = 1j * (pump.omega_pump + mode.omega_m - om) + 0.5 * mode.gamma_m
+        den = 1j * (omega_pump + mode.omega_m - om) + 0.5 * mode.gamma_m
         if np.any(den == 0.0):
             raise SingularResponseError(
                 "probe grid hits an undamped mechanical sideband exactly"
             )
         lc_inverse = lc_inverse + coupling**2 / den
-    vals = _scattering(om, _theta(shifted), TraceKind.S11, lc_inverse=lc_inverse)
+    vals = _scattering(om, _theta(pumped), TraceKind.S11, lc_inverse=lc_inverse)
     return ComplexTrace(freqs, vals, TraceKind.S11)
 
 
-def transparency_signal(params, pump, on: ComplexTrace) -> ComplexTrace:
+def transparency_signal(pumped, on: ComplexTrace) -> ComplexTrace:
     """Pump-induced response change |S11(on) - S11(off)|^2 as a power trace.
 
     ``on`` is the S11 trace :func:`multi_mode_omit` returned for the same
-    ``params`` and ``pump`` (InvalidInputError for any other kind).
+    ``pumped`` parameters (InvalidInputError for any other kind).
     Subtracting the pump-off reflection in the complex plane isolates the
     mechanical contribution: the result is a clean peak of width close to
     gamma_m + gamma_e per mode, sitting on a flat background instead of the
@@ -245,8 +220,5 @@ def transparency_signal(params, pump, on: ComplexTrace) -> ComplexTrace:
         raise InvalidInputError(
             f"transparency_signal needs the pumped s11 trace, got {on.kind.value}"
         )
-    shifted = pumped_lc_params(
-        params, lc_shift=pump.lc_shift, lc_extra_loss=pump.lc_extra_loss
-    )
-    off = _scattering(_probe_angular(on.freqs), _theta(shifted), TraceKind.S11)
+    off = _scattering(_probe_angular(on.freqs), _theta(pumped), TraceKind.S11)
     return ComplexTrace(on.freqs, np.abs(on.values - off) ** 2, TraceKind.POWER)

@@ -322,9 +322,6 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
     lo = np.array([config.effective_bounds(n)[0] for n in names])
     hi = np.array([config.effective_bounds(n)[1] for n in names])
     x = np.array([getattr(base, n) for n in names], dtype=float)
-    for j, name in enumerate(names):
-        if not lo[j] <= x[j] <= hi[j]:
-            raise InvalidInputError(f"initial guess for {name!r} is outside its bounds")
 
     # The model's domain: frequencies positive, rates non-negative, all finite.
     domain_lo = np.array([5e-324 if n in FREQUENCY_FIELDS else 0.0 for n in names])

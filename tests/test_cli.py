@@ -256,6 +256,19 @@ class TestFit:
         assert key in err and "non-negative" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("lines, message", [
+        ("max_iterations = 0\n", "fit.max_iterations: must be positive, got 0"),
+        ("tolerance = 0\n", "fit.tolerance: must be in (0, 1), got 0"),
+        ("tolerance = 1.5\n", "fit.tolerance: must be in (0, 1), got 1.5"),
+    ], ids=["max_iterations", "tolerance_zero", "tolerance_above_one"])
+    def test_stopping_settings_named_in_errors(self, tmp_path, capsys, lines, message):
+        trace_path, _ = self.make_trace(tmp_path)
+        cfg = write_ini(tmp_path, fit_sections(f"trace = {trace_path}\n{lines}"))
+        out = tmp_path / "fit.json"
+        assert run(["fit", "--config", cfg, "--out", str(out), "--preset", "hat270"]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_free_params_rejected(self, tmp_path, capsys):
         trace_path, _ = self.make_trace(tmp_path)
         cfg = write_ini(tmp_path, f"[fit]\nfree_params =\ntrace = {trace_path}\n")
@@ -435,6 +448,28 @@ class TestOmit:
         assert key in err and "non-negative" in err
         assert not (tmp_path / "o.csv").exists()
 
+    @pytest.mark.parametrize("mode_lines, message", [
+        ("omega_m_hz = -1\n", "omit.omega_m_hz: must be positive, got -1"),
+        ("omega_m_hz = 0\n", "omit.omega_m_hz: must be positive, got 0"),
+        ("omega_m_hz = 0.66e6\ngamma_m_hz = -10\n",
+         "omit.gamma_m_hz: must be non-negative, got -10"),
+        ("omega_m_hz = 0.66e6\nlc_extra_loss_hz = -1e3\n",
+         "omit.lc_extra_loss_hz: must be non-negative, got -1e3"),
+        ("omega_m_hz = 0.66e6\n[mode.2]\nomega_m_hz = -2e6\n",
+         "mode.2.omega_m_hz: must be positive, got -2e6"),
+        ("omega_m_hz = 0.66e6\n[mode.2]\nomega_m_hz = 1.1e6\ngamma_m_hz = -25\n",
+         "mode.2.gamma_m_hz: must be non-negative, got -25"),
+    ], ids=["omega_m", "omega_m_zero", "gamma_m", "lc_extra_loss", "mode2_omega_m",
+            "mode2_gamma_m"])
+    def test_mode_and_pump_values_named_in_hz(self, tmp_path, capsys, mode_lines, message):
+        cfg = self.omit_ini(tmp_path, mode_lines + "gamma_e_hz = 900\n")
+        out = tmp_path / "o.csv"
+        assert run(["omit", "--config", cfg, "--out", str(out), "--preset", "hat270"]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "rad/s" not in err
+        assert not out.exists() and not (tmp_path / "o.report.json").exists()
+
     def test_non_integer_mode_section_rejected(self, tmp_path, capsys):
         cfg = self.omit_ini(
             tmp_path,
@@ -471,6 +506,25 @@ class TestOmit:
         monkeypatch.setattr(cli, "multi_mode_omit", counting)
         cfg = self.omit_ini(
             tmp_path, "omega_m_hz = 0.66e6\ngamma_m_hz = 10\ngamma_e_hz = 900\n"
+        )
+        assert run(["omit", "--config", cfg, "--out", str(tmp_path / "o.csv"),
+                    "--preset", "hat270"]) == 0
+        assert len(calls) == 1
+
+    def test_pump_applied_once_per_run(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        pump = electromechanics.pumped_lc_params
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return pump(*args, **kwargs)
+
+        monkeypatch.setattr(electromechanics, "pumped_lc_params", counting)
+        monkeypatch.setattr(cli, "pumped_lc_params", counting)
+        cfg = self.omit_ini(
+            tmp_path,
+            "omega_m_hz = 0.66e6\ngamma_m_hz = 10\ngamma_e_hz = 900\n"
+            "lc_shift_hz = -2e4\nlc_extra_loss_hz = 5e3\n",
         )
         assert run(["omit", "--config", cfg, "--out", str(tmp_path / "o.csv"),
                     "--preset", "hat270"]) == 0

@@ -222,6 +222,15 @@ class TestDressedModes:
         assert m.kappa_cav == p.kappa_cav_tot
         assert m.kappa_lc == p.kappa_lc_bare
 
+    @pytest.mark.parametrize("detuning_hz", [520e6, 0.0, -300e6])
+    def test_uncoupled_lossless_is_exactly_bare(self, detuning_hz):
+        # the closed-form solve itself handles g = 0, crossing included:
+        # bare frequencies, weight 1 and linewidths of +0.0, not -0.0
+        p = SystemParams.from_hz(omega_cav=7.0e9 + detuning_hz, omega_lc=7.0e9)
+        m = dressed_modes(p)
+        assert (m.omega_cav, m.omega_lc, m.cavity_weight) == (p.omega_cav, p.omega_lc, 1.0)
+        assert np.copysign(1.0, m.kappa_cav) == np.copysign(1.0, m.kappa_lc) == 1.0
+
     def test_symmetric_lossless_splitting_is_2g(self):
         p = SystemParams.from_hz(omega_cav=7.0e9, omega_lc=7.0e9, g=57e6)
         upper, lower = hybridized_eigenvalues(p)

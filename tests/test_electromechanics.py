@@ -7,7 +7,6 @@ from conftest import reference_params, random_params
 from cavlink import (
     InvalidInputError,
     MechanicalMode,
-    PumpConfig,
     SingularResponseError,
     ValidityWarning,
     coupling_for_damping,
@@ -27,17 +26,17 @@ from cavlink.units import TWO_PI
 
 
 def window_scenario(gamma_e_hz=900.0, gamma_m_hz=10.0, omega_m_hz=0.66e6, **overrides):
-    """Reference OMIT setup: params, mode, coupling, on-sideband pump."""
+    """Reference OMIT setup: params, mode, coupling, on-sideband pump frequency."""
     params = reference_params(**overrides)
     kappa_lc = effective_rates(params).kappa_lc_tot
     mode = MechanicalMode(TWO_PI * omega_m_hz, TWO_PI * gamma_m_hz)
     coupling = coupling_for_damping(TWO_PI * gamma_e_hz, kappa_lc)
-    pump = lower_sideband_pump(params, mode)
-    return params, mode, coupling, pump
+    omega_pump = lower_sideband_pump(params, mode)
+    return params, mode, coupling, omega_pump
 
 
-def window_grid(pump, mode, width_hz, span=10.0, points=2401):
-    f0 = (pump.omega_pump + mode.omega_m) / TWO_PI
+def window_grid(omega_pump, mode, width_hz, span=10.0, points=2401):
+    f0 = (omega_pump + mode.omega_m) / TWO_PI
     return np.linspace(f0 - span * width_hz, f0 + span * width_hz, points)
 
 
@@ -48,28 +47,49 @@ class TestValidation:
         with pytest.raises(InvalidInputError, match="gamma_m"):
             MechanicalMode(TWO_PI * 1e6, -1.0)
 
-    def test_pump_config(self):
-        with pytest.raises(InvalidInputError, match="omega_pump"):
-            PumpConfig(omega_pump=-1.0)
-        with pytest.raises(InvalidInputError, match="lc_extra_loss"):
-            PumpConfig(omega_pump=1.0, lc_extra_loss=-1.0)
+    @pytest.mark.parametrize("knobs, name", [
+        ({"lc_shift": np.nan}, "lc_shift"),
+        ({"lc_shift": -np.inf}, "lc_shift"),
+        ({"lc_extra_loss": -1.0}, "lc_extra_loss"),
+        ({"lc_extra_loss": np.inf}, "lc_extra_loss"),
+        ({"lc_extra_loss": np.nan}, "lc_extra_loss"),
+    ], ids=["shift_nan", "shift_inf", "loss_negative", "loss_inf", "loss_nan"])
+    def test_pumped_lc_params_refusals(self, knobs, name):
+        with pytest.raises(InvalidInputError, match=name):
+            pumped_lc_params(reference_params(), **knobs)
+
+    def test_pump_must_sit_between_zero_and_pumped_lc(self):
+        # 0 < omega_pump < the pumped dressed LC frequency; the bound is the
+        # pumped line, not the bare one
+        params, mode, coupling, _ = window_scenario()
+        bare_top = dressed_modes(params).omega_lc
+        pumped = pumped_lc_params(params, lc_shift=-TWO_PI * 5e6)
+        top = dressed_modes(pumped).omega_lc
+        assert top < bare_top
+        grid = np.linspace(6.99e9, 7.0e9, 11)
+        for omega_pump in (0.0, -1.0, np.nan, np.inf, top, 0.5 * (top + bare_top)):
+            with pytest.raises(InvalidInputError, match="red-detuned"):
+                multi_mode_omit(pumped, (mode,), (coupling,), omega_pump, grid)
+        below = np.nextafter(top, 0.0)
+        trace = multi_mode_omit(pumped, (mode,), (coupling,), below, grid)
+        assert np.all(np.isfinite(trace.values))
 
     def test_multi_mode_omit_inputs(self):
-        params, mode, coupling, pump = window_scenario()
-        grid = window_grid(pump, mode, 910.0)
+        params, mode, coupling, omega_pump = window_scenario()
+        grid = window_grid(omega_pump, mode, 910.0)
         with pytest.raises(InvalidInputError, match="not be empty"):
-            multi_mode_omit(params, (), (), pump, grid)
+            multi_mode_omit(params, (), (), omega_pump, grid)
         with pytest.raises(InvalidInputError, match="one coupling per"):
-            multi_mode_omit(params, (mode,), (coupling, coupling), pump, grid)
+            multi_mode_omit(params, (mode,), (coupling, coupling), omega_pump, grid)
         with pytest.raises(InvalidInputError, match="non-negative"):
-            multi_mode_omit(params, (mode,), (-coupling,), pump, grid)
+            multi_mode_omit(params, (mode,), (-coupling,), omega_pump, grid)
 
 
     def test_transparency_signal_needs_s11(self):
-        params, mode, coupling, pump = window_scenario()
-        grid = window_grid(pump, mode, 910.0)
+        params, mode, coupling, omega_pump = window_scenario()
+        grid = window_grid(omega_pump, mode, 910.0)
         with pytest.raises(InvalidInputError, match="s11"):
-            transparency_signal(params, pump, s21(params, grid))
+            transparency_signal(params, s21(params, grid))
 
 
 class TestRates:
@@ -104,18 +124,17 @@ class TestPumpPlacement:
     def test_lower_sideband_exact(self):
         params = reference_params()
         mode = MechanicalMode(TWO_PI * 0.66e6)
-        pump = lower_sideband_pump(params, mode)
-        assert pump.omega_pump + mode.omega_m == dressed_modes(params).omega_lc
+        omega_pump = lower_sideband_pump(params, mode)
+        assert omega_pump + mode.omega_m == dressed_modes(params).omega_lc
 
     def test_shift_folded_into_placement(self):
         params = reference_params()
         mode = MechanicalMode(TWO_PI * 0.66e6)
         shift, extra = -TWO_PI * 50e3, TWO_PI * 20e3
-        pump = lower_sideband_pump(params, mode, lc_shift=shift, lc_extra_loss=extra)
-        expected = dressed_modes(
-            pumped_lc_params(params, lc_shift=shift, lc_extra_loss=extra)
-        ).omega_lc
-        assert pump.omega_pump + mode.omega_m == expected
+        pumped = pumped_lc_params(params, lc_shift=shift, lc_extra_loss=extra)
+        omega_pump = lower_sideband_pump(pumped, mode)
+        expected = dressed_modes(pumped).omega_lc
+        assert omega_pump + mode.omega_m == expected
 
     def test_pumped_lc_params(self):
         params = reference_params()
@@ -127,34 +146,33 @@ class TestPumpPlacement:
 
 class TestOmitSpectrum:
     def test_zero_coupling_is_pump_off_reflection(self):
-        params, mode, _, pump = window_scenario()
-        grid = window_grid(pump, mode, 910.0)
-        on = multi_mode_omit(params, (mode,), (0.0,), pump, grid)
-        off = s11(pumped_lc_params(params, lc_shift=pump.lc_shift,
-                                   lc_extra_loss=pump.lc_extra_loss), grid)
+        params, mode, _, omega_pump = window_scenario()
+        grid = window_grid(omega_pump, mode, 910.0)
+        on = multi_mode_omit(params, (mode,), (0.0,), omega_pump, grid)
+        off = s11(params, grid)
         assert np.array_equal(on.values, off.values)
 
     def test_blue_pump_rejected(self):
-        params, mode, coupling, pump = window_scenario()
-        grid = window_grid(pump, mode, 910.0)
-        blue = PumpConfig(dressed_modes(params).omega_lc + mode.omega_m)
+        params, mode, coupling, omega_pump = window_scenario()
+        grid = window_grid(omega_pump, mode, 910.0)
+        blue = dressed_modes(params).omega_lc + mode.omega_m
         with pytest.raises(InvalidInputError, match="red-detuned"):
             multi_mode_omit(params, (mode,), (coupling,), blue, grid)
 
     def test_sideband_miss_warns(self):
-        params, mode, coupling, pump = window_scenario()
+        params, mode, coupling, omega_pump = window_scenario()
         kappa_lc = effective_rates(params).kappa_lc_tot
-        displaced = PumpConfig(pump.omega_pump - 2.0 * kappa_lc)
-        grid = window_grid(pump, mode, 910.0)
+        displaced = omega_pump - 2.0 * kappa_lc
+        grid = window_grid(omega_pump, mode, 910.0)
         with pytest.warns(ValidityWarning, match="misses"):
             multi_mode_omit(params, (mode,), (coupling,), displaced, grid)
 
     def test_overlapping_modes_warn(self):
-        params, mode, coupling, pump = window_scenario(gamma_m_hz=500.0)
+        params, mode, coupling, omega_pump = window_scenario(gamma_m_hz=500.0)
         twin = MechanicalMode(mode.omega_m + 0.1 * mode.gamma_m, mode.gamma_m)
-        grid = window_grid(pump, mode, 2000.0)
+        grid = window_grid(omega_pump, mode, 2000.0)
         with pytest.warns(ValidityWarning, match="overlap"):
-            multi_mode_omit(params, (mode, twin), (coupling, coupling), pump, grid)
+            multi_mode_omit(params, (mode, twin), (coupling, coupling), omega_pump, grid)
 
     def test_undamped_sideband_on_grid_point(self):
         # pump + mode tuned so that omega_pump + omega_m lands bitwise on a
@@ -163,18 +181,17 @@ class TestOmitSpectrum:
         f_hit = 6.994e9
         omega_pump = TWO_PI * (f_hit - 0.66e6)
         mode = MechanicalMode(TWO_PI * f_hit - omega_pump, gamma_m=0.0)
-        pump = PumpConfig(omega_pump)
         grid = np.array([f_hit - 1e4, f_hit, f_hit + 1e4])
         with pytest.raises(SingularResponseError, match="sideband"):
-            multi_mode_omit(params, (mode,), (TWO_PI * 20e3,), pump, grid)
+            multi_mode_omit(params, (mode,), (TWO_PI * 20e3,), omega_pump, grid)
 
     def test_window_is_a_peak_inside_the_dip(self):
-        params, mode, coupling, pump = window_scenario()
+        params, mode, coupling, omega_pump = window_scenario()
         width = 910.0
-        f0 = (pump.omega_pump + mode.omega_m) / TWO_PI
+        f0 = (omega_pump + mode.omega_m) / TWO_PI
         kappa_lc_hz = effective_rates(params).kappa_lc_tot / TWO_PI
         grid = np.linspace(f0 - 3 * kappa_lc_hz, f0 + 3 * kappa_lc_hz, 30001)
-        trace = multi_mode_omit(params, (mode,), (coupling,), pump, grid)
+        trace = multi_mode_omit(params, (mode,), (coupling,), omega_pump, grid)
         p = trace.power()
         at_center = p[np.argmin(np.abs(grid - f0))]
         wall = p[np.argmin(np.abs(grid - (f0 + 30 * width)))]
@@ -186,11 +203,11 @@ class TestOmitSpectrum:
 class TestWindowWidth:
     def test_reference_scenario_width_from_reflection(self):
         # gamma_m + gamma_e = 910 Hz read straight off the reflection dip
-        params, mode, coupling, pump = window_scenario()
+        params, mode, coupling, omega_pump = window_scenario()
         width = 910.0
-        f0 = (pump.omega_pump + mode.omega_m) / TWO_PI
-        grid = window_grid(pump, mode, width, span=6.0, points=2401)
-        trace = multi_mode_omit(params, (mode,), (coupling,), pump, grid)
+        f0 = (omega_pump + mode.omega_m) / TWO_PI
+        grid = window_grid(omega_pump, mode, width, span=6.0, points=2401)
+        trace = multi_mode_omit(params, (mode,), (coupling,), omega_pump, grid)
         center, fwhm = extract_fwhm(trace, (f0 - 5 * width, f0 + 5 * width))
         assert fwhm == pytest.approx(width, rel=0.05)
         # the sloped dip wall drags the apparent maximum by a few percent
@@ -198,12 +215,12 @@ class TestWindowWidth:
         assert center == pytest.approx(f0, abs=0.05 * width)
 
     def test_reference_scenario_width_from_signal(self):
-        params, mode, coupling, pump = window_scenario()
+        params, mode, coupling, omega_pump = window_scenario()
         width = 910.0
-        f0 = (pump.omega_pump + mode.omega_m) / TWO_PI
-        grid = window_grid(pump, mode, width)
+        f0 = (omega_pump + mode.omega_m) / TWO_PI
+        grid = window_grid(omega_pump, mode, width)
         sig = transparency_signal(
-            params, pump, multi_mode_omit(params, (mode,), (coupling,), pump, grid)
+            params, multi_mode_omit(params, (mode,), (coupling,), omega_pump, grid)
         )
         center, fwhm = extract_fwhm(sig, (f0 - 6 * width, f0 + 6 * width))
         assert fwhm == pytest.approx(width, rel=0.05)
@@ -238,12 +255,12 @@ class TestWindowWidth:
                 continue
             mode = MechanicalMode(omega_m, gamma_m)
             coupling = coupling_for_damping(gamma_e, kappa_lc)
-            pump = lower_sideband_pump(params, mode)
+            omega_pump = lower_sideband_pump(params, mode)
             width = (gamma_m + gamma_e) / TWO_PI
-            f0 = (pump.omega_pump + mode.omega_m) / TWO_PI
+            f0 = (omega_pump + mode.omega_m) / TWO_PI
             grid = np.linspace(f0 - 10 * width, f0 + 10 * width, 2401)
-            on = multi_mode_omit(params, (mode,), (coupling,), pump, grid)
-            sig = transparency_signal(params, pump, on)
+            on = multi_mode_omit(params, (mode,), (coupling,), omega_pump, grid)
+            sig = transparency_signal(params, on)
             _, fwhm = extract_fwhm(sig, (f0 - 6 * width, f0 + 6 * width))
             err = abs(fwhm - width) / width
             worst = max(worst, err)
@@ -262,29 +279,29 @@ class TestWindowWidth:
             omega_m = rng.uniform(0.7, 1.5) * kappa_lc
             mode = MechanicalMode(omega_m, gamma_m)
             coupling = coupling_for_damping(gamma_e, kappa_lc)
-            pump = lower_sideband_pump(params, mode)
+            omega_pump = lower_sideband_pump(params, mode)
             width = (gamma_m + gamma_e) / TWO_PI
-            f0 = (pump.omega_pump + mode.omega_m) / TWO_PI
+            f0 = (omega_pump + mode.omega_m) / TWO_PI
             grid = np.linspace(f0 - 10 * width, f0 + 10 * width, 241)
             step = grid[1] - grid[0]
-            on = multi_mode_omit(params, (mode,), (coupling,), pump, grid)
-            sig = transparency_signal(params, pump, on)
+            on = multi_mode_omit(params, (mode,), (coupling,), omega_pump, grid)
+            sig = transparency_signal(params, on)
             center, _ = extract_fwhm(sig, (f0 - 6 * width, f0 + 6 * width))
             assert abs(center - f0) <= step
 
     def test_two_modes_two_windows(self):
-        params, mode1, coupling, pump = window_scenario()
+        params, mode1, coupling, omega_pump = window_scenario()
         mode2 = MechanicalMode(TWO_PI * 1.1e6, TWO_PI * 25.0)
         coupling2 = coupling_for_damping(TWO_PI * 600.0, effective_rates(params).kappa_lc_tot)
-        f1 = (pump.omega_pump + mode1.omega_m) / TWO_PI
-        f2 = (pump.omega_pump + mode2.omega_m) / TWO_PI
+        f1 = (omega_pump + mode1.omega_m) / TWO_PI
+        f2 = (omega_pump + mode2.omega_m) / TWO_PI
         # the shared pump sits on mode1's sideband; mode2's window still
         # appears at omega_pump + omega_m2, displaced up the dip wall
         on = multi_mode_omit(
             params, (mode1, mode2), (coupling, coupling2),
-            pump, np.linspace(f1 - 2e4, f2 + 2e4, 120001),
+            omega_pump, np.linspace(f1 - 2e4, f2 + 2e4, 120001),
         )
-        sig = transparency_signal(params, pump, on)
+        sig = transparency_signal(params, on)
         c1, w1 = extract_fwhm(sig, (f1 - 6e3, f1 + 6e3))
         c2, w2 = extract_fwhm(sig, (f2 - 6e3, f2 + 6e3))
         assert c1 == pytest.approx(f1, abs=50.0)
@@ -300,13 +317,12 @@ class TestContinuityAndPassivity:
         params, mode, _, _ = window_scenario(gamma_e_hz=2.0)
         kappa_lc = effective_rates(params).kappa_lc_tot
         anchor = coupling_for_damping(TWO_PI * 2.0, kappa_lc)
-        pump = lower_sideband_pump(params, mode)
-        grid = window_grid(pump, mode, 910.0)
-        off = s11(pumped_lc_params(params, lc_shift=pump.lc_shift,
-                                   lc_extra_loss=pump.lc_extra_loss), grid).values
+        omega_pump = lower_sideband_pump(params, mode)
+        grid = window_grid(omega_pump, mode, 910.0)
+        off = s11(params, grid).values
         deviations = []
         for decade in range(4):
-            on = multi_mode_omit(params, (mode,), (anchor / 10.0**decade,), pump, grid)
+            on = multi_mode_omit(params, (mode,), (anchor / 10.0**decade,), omega_pump, grid)
             deviations.append(float(np.max(np.abs(on.values - off))))
         for bigger, smaller in zip(deviations, deviations[1:]):
             assert smaller < bigger / 30.0
@@ -322,19 +338,19 @@ class TestContinuityAndPassivity:
             coupling = rng.uniform(0.0, 1.0) * coupling_for_damping(
                 kappa_lc / 10.0, kappa_lc
             )
-            pump = lower_sideband_pump(params, mode)
-            f0 = (pump.omega_pump + mode.omega_m) / TWO_PI
+            omega_pump = lower_sideband_pump(params, mode)
+            f0 = (omega_pump + mode.omega_m) / TWO_PI
             span = 3.0 * kappa_lc / TWO_PI
             trace = multi_mode_omit(
-                params, (mode,), (coupling,), pump,
+                params, (mode,), (coupling,), omega_pump,
                 np.linspace(f0 - span, f0 + span, 801),
             )
             assert np.all(trace.power() <= 1.0 + 1e-9)
 
     def test_transparency_signal_zero_without_pump_coupling(self):
-        params, mode, _, pump = window_scenario()
-        grid = window_grid(pump, mode, 910.0)
+        params, mode, _, omega_pump = window_scenario()
+        grid = window_grid(omega_pump, mode, 910.0)
         sig = transparency_signal(
-            params, pump, multi_mode_omit(params, (mode,), (0.0,), pump, grid)
+            params, multi_mode_omit(params, (mode,), (0.0,), omega_pump, grid)
         )
         assert np.array_equal(sig.values, np.zeros(len(grid)))
