@@ -63,6 +63,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_PARSE = 4
 EXIT_NONCONVERGENCE = 5
+_MAX_HZ = angular_to_hz(sys.float_info.max)  # the largest value that is finite in rad/s
 
 
 def _params_from_config(cp, preset_name) -> SystemParams:
@@ -74,8 +75,11 @@ def _params_from_config(cp, preset_name) -> SystemParams:
         defaults = ALL_PRESETS[preset_name].to_hz()
     else:
         return ALL_PRESETS[preset_name]  # as stored: Hz round trips are not bit-exact
-    return SystemParams.from_hz(**{
-        name: config_float(cp, "params", f"{name}_hz", default=defaults.get(f"{name}_hz"))
+    return SystemParams(**{
+        name: _angular(
+            cp, "params", f"{name}_hz", "non-negative" if name in RATE_FIELDS else "positive",
+            defaults.get(f"{name}_hz"),
+        )
         for name in PARAM_FIELDS
     })
 
@@ -98,12 +102,25 @@ def _suffixed(path, tag):
     return f"{base}-{tag}{ext}"
 
 
+def _refused(cp, section, key, why):
+    """The ConfigError for the value under ``key``, quoted as written."""
+    return ConfigError(f"{section}.{key}: {why}, got {config_str(cp, section, key)}")
+
+
 def _checked(read, cp, section, key, rule, default=None):
     """``read(cp, section, key, default)``, refused unless it is ``rule``
-    ("non-negative", "positive" or "in (0, 1)"); the error quotes the value as written."""
+    ("non-negative", "positive" or "in (0, 1)")."""
     value = read(cp, section, key, default)
     if not {"non-negative": value >= 0, "positive": value > 0, "in (0, 1)": 0 < value < 1}[rule]:
-        raise ConfigError(f"{section}.{key}: must be {rule}, got {config_str(cp, section, key)}")
+        raise _refused(cp, section, key, f"must be {rule}")
+    return value
+
+
+def _angular(cp, section, key, rule, default=None):
+    """The ``_checked`` Hz value under ``key`` in rad/s, refused where that overflows."""
+    value = hz_to_angular(_checked(config_float, cp, section, key, rule, default))
+    if np.isinf(value):
+        raise _refused(cp, section, key, f"must be at most {_MAX_HZ:.3g} Hz")
     return value
 
 
@@ -331,13 +348,6 @@ def _mode_index(section):
         ) from None
 
 
-def _optional_rate(cp, section, key):
-    """The non-negative rate under ``key`` (given in Hz) in rad/s; None if absent."""
-    if not cp.has_option(section, key):
-        return None
-    return hz_to_angular(_checked(config_float, cp, section, key, "non-negative"))
-
-
 def _modes_from_config(cp):
     """[omit] holds the first mode; [mode.2], [mode.3], ... add more."""
     sections = ["omit"]
@@ -347,13 +357,13 @@ def _modes_from_config(cp):
     entries = []
     for section in sections:
         mode = MechanicalMode(
-            omega_m=hz_to_angular(_checked(config_float, cp, section, "omega_m_hz", "positive")),
-            gamma_m=hz_to_angular(
-                _checked(config_float, cp, section, "gamma_m_hz", "non-negative", 0.0)
-            ),
+            omega_m=_angular(cp, section, "omega_m_hz", "positive"),
+            gamma_m=_angular(cp, section, "gamma_m_hz", "non-negative", 0.0),
         )
-        coupling = _optional_rate(cp, section, "coupling_hz")
-        gamma_e = _optional_rate(cp, section, "gamma_e_hz")
+        coupling, gamma_e = (  # None where absent
+            _angular(cp, section, key, "non-negative") if cp.has_option(section, key) else None
+            for key in ("coupling_hz", "gamma_e_hz")
+        )
         if coupling is not None and gamma_e is not None:
             raise ConfigError(
                 f"{section}: give coupling_hz or gamma_e_hz, not both"
@@ -365,13 +375,11 @@ def _modes_from_config(cp):
 def _cmd_omit(cp, out, preset_name):
     params = _params_from_config(cp, preset_name)
     grid = _grid_from_config(cp)
-    pumped = pumped_lc_params(
-        params,
-        lc_shift=hz_to_angular(config_float(cp, "omit", "lc_shift_hz", default=0.0)),
-        lc_extra_loss=hz_to_angular(
-            _checked(config_float, cp, "omit", "lc_extra_loss_hz", "non-negative", 0.0)
-        ),
-    )
+    lc_shift = hz_to_angular(config_float(cp, "omit", "lc_shift_hz", default=0.0))
+    if not 0.0 < params.omega_lc + lc_shift < np.inf:
+        raise _refused(cp, "omit", "lc_shift_hz", "must keep the LC frequency positive and finite")
+    extra_loss = _angular(cp, "omit", "lc_extra_loss_hz", "non-negative", 0.0)
+    pumped = pumped_lc_params(params, lc_shift=lc_shift, lc_extra_loss=extra_loss)
     pump_offset = hz_to_angular(config_float(cp, "omit", "pump_offset_hz", default=0.0))
     kappa_lc_tot = effective_rates(pumped).kappa_lc_tot
 
@@ -385,6 +393,8 @@ def _cmd_omit(cp, out, preset_name):
     gamma_es = [electromechanical_damping(c, kappa_lc_tot) for c in couplings]
 
     omega_pump = lower_sideband_pump(pumped, modes[0]) + pump_offset
+    if not (omega_pump > 0.0 and pump_offset < modes[0].omega_m):
+        raise _refused(cp, "omit", "pump_offset_hz", "must keep the pump red-detuned, above 0 Hz")
     trace = multi_mode_omit(pumped, modes, couplings, omega_pump, grid)
     write_trace(out, trace)
 

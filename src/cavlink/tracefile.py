@@ -15,11 +15,13 @@ inputs produce byte-identical files.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import json
 import math
 import os
 import re
 import tempfile
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -56,18 +58,14 @@ def write_json(path, payload) -> None:
 
 
 def write_trace(path, trace: ComplexTrace) -> None:
-    lines = ["# cavlink trace", f"# kind = {trace.kind.value}"]
     if trace.kind is TraceKind.POWER:
-        lines.append(_POWER_HEADER)
-        for f, p in zip(trace.freqs, trace.values):
-            lines.append(f"{format_float(f)},{format_float(p)}")
+        header, columns = _POWER_HEADER, (trace.freqs, trace.values)
     else:
-        lines.append(_COMPLEX_HEADER)
-        for f, v in zip(trace.freqs, trace.values):
-            lines.append(
-                f"{format_float(f)},{format_float(v.real)},{format_float(v.imag)}"
-            )
-    write_text_atomic(path, "\n".join(lines) + "\n")
+        header, columns = _COMPLEX_HEADER, (trace.freqs, trace.values.real, trace.values.imag)
+    # One format call over the rows' Python floats: %r of a float is format_float.
+    row = ",".join(["%r"] * len(columns)) + "\n"
+    text = f"# cavlink trace\n# kind = {trace.kind.value}\n{header}\n" + row * len(trace)
+    write_text_atomic(path, text % tuple(np.stack(columns, axis=1).ravel().tolist()))
 
 
 def _parse_kind(token, path, lineno):
@@ -92,6 +90,30 @@ def _parse_float(token, path, lineno, column):
     return value
 
 
+def _table(path, rows, linenos, header):
+    """The data rows as one (n, columns) float array, each value converted once by float();
+    only if a check fails are the rows walked, in order, to raise the first bad one's error."""
+    width = 3 if header == _COMPLEX_HEADER else 2
+    chunks = (",".join(rows[i:i + 1024]).split(",") for i in range(0, len(rows), 1024))
+    with contextlib.suppress(ValueError):  # a non-number, named by the walk
+        if set(map(str.count, rows, repeat(","))) <= {width - 1}:
+            values = map(float, map(str.strip, chain.from_iterable(chunks)))
+            table = np.fromiter(values, float, len(rows) * width).reshape(-1, width)
+            if np.isfinite(table).all() and (np.diff(table[:, 0]) > 0).all():
+                return table
+    previous = -math.inf
+    for lineno, row in zip(linenos, rows):
+        columns = [c.strip() for c in row.split(",")]
+        if len(columns) != width:
+            raise TraceParseError(path, lineno, f"expected {width} columns, got {len(columns)}")
+        f = _parse_float(columns[0], path, lineno, 1)
+        if f <= previous:
+            raise TraceParseError(path, lineno, "frequencies must be strictly increasing")
+        previous = f
+        for column, token in enumerate(columns[1:], 2):
+            _parse_float(token, path, lineno, column)
+
+
 def read_trace(path) -> ComplexTrace:
     """Parse a trace file; malformed content raises TraceParseError with the
     offending line number. A missing file raises the usual FileNotFoundError
@@ -103,8 +125,7 @@ def read_trace(path) -> ComplexTrace:
     kind = None
     header = None
     header_line = 0
-    freqs = []
-    values = []
+    rows, linenos = [], []  # each data line as read, and its line number
     for lineno, raw in enumerate(raw_lines, 1):
         line = raw.strip()
         if not line:
@@ -112,7 +133,11 @@ def read_trace(path) -> ComplexTrace:
         if line.startswith("#"):
             match = _KIND_COMMENT.match(line)
             if match:
-                kind = _parse_kind(match.group(1), path, lineno)
+                try:
+                    kind = _parse_kind(match.group(1), path, lineno)
+                except TraceParseError:  # a bad row before it is reported first
+                    _table(path, rows, linenos, header)
+                    raise
             continue
         if header is None:
             compact = line.replace(" ", "")
@@ -125,28 +150,13 @@ def read_trace(path) -> ComplexTrace:
             header = compact
             header_line = lineno
             continue
-        columns = [c.strip() for c in line.split(",")]
-        expected = 3 if header == _COMPLEX_HEADER else 2
-        if len(columns) != expected:
-            raise TraceParseError(
-                path, lineno, f"expected {expected} columns, got {len(columns)}"
-            )
-        f = _parse_float(columns[0], path, lineno, 1)
-        if freqs and f <= freqs[-1]:
-            raise TraceParseError(
-                path, lineno, "frequencies must be strictly increasing"
-            )
-        freqs.append(f)
-        if header == _COMPLEX_HEADER:
-            re_part = _parse_float(columns[1], path, lineno, 2)
-            im_part = _parse_float(columns[2], path, lineno, 3)
-            values.append(complex(re_part, im_part))
-        else:
-            values.append(_parse_float(columns[1], path, lineno, 2))
+        rows.append(raw)
+        linenos.append(lineno)
+    table = _table(path, rows, linenos, header)
 
     if header is None:
         raise TraceParseError(path, len(raw_lines), "no header line found")
-    if len(freqs) < 2:
+    if len(rows) < 2:
         raise TraceParseError(
             path, len(raw_lines), "a trace needs at least 2 samples"
         )
@@ -158,7 +168,7 @@ def read_trace(path) -> ComplexTrace:
                 path, header_line,
                 f"kind comment says {kind.value!r} but header is power-only",
             )
-        data = np.asarray(values, dtype=float)
+        data = table[:, 1]
     else:
         if kind is None:
             kind = TraceKind.S21
@@ -167,9 +177,9 @@ def read_trace(path) -> ComplexTrace:
                 path, header_line,
                 "kind comment says power but header has re,im columns",
             )
-        data = np.asarray(values, dtype=complex)
+        data = table[:, 1:].view(complex)[:, 0]  # (re, im) as is: re + 1j*im loses a -0.0 re
     try:
-        return ComplexTrace(np.asarray(freqs, dtype=float), data, kind)
+        return ComplexTrace(table[:, 0], data, kind)
     except InvalidInputError as exc:
         raise TraceParseError(path, len(raw_lines), str(exc)) from None
 

@@ -87,6 +87,20 @@ class TestSimulate:
         expected = s21(p, np.linspace(6.8e9, 7.6e9, 101))
         assert np.allclose(loaded.values, expected.values, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("line, message", [
+        ("kappa_lc_bare_hz = -5", "params.kappa_lc_bare_hz: must be non-negative, got -5"),
+        ("omega_cav_hz = 0", "params.omega_cav_hz: must be positive, got 0"),
+        ("g_hz = 1e308", "params.g_hz: must be at most 2.86e+307 Hz, got 1e308"),
+    ], ids=["negative_rate", "zero_frequency", "overflow"])
+    def test_params_named_in_hz(self, tmp_path, capsys, line, message):
+        cfg = write_ini(tmp_path, grid_section(6.8e9, 7.6e9, 101) + f"[params]\n{line}\n")
+        out = tmp_path / "x.csv"
+        assert run(["simulate", "--config", cfg, "--out", str(out), "--preset", "hat270"]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "rad/s" not in err
+        assert not out.exists()
+
     def test_bad_output_name(self, tmp_path, capsys):
         cfg = write_ini(
             tmp_path, grid_section(6.8e9, 7.6e9, 101) + "[simulate]\noutputs = s12\n"
@@ -459,8 +473,13 @@ class TestOmit:
          "mode.2.omega_m_hz: must be positive, got -2e6"),
         ("omega_m_hz = 0.66e6\n[mode.2]\nomega_m_hz = 1.1e6\ngamma_m_hz = -25\n",
          "mode.2.gamma_m_hz: must be non-negative, got -25"),
+        ("omega_m_hz = 1e308\n", "omit.omega_m_hz: must be at most 2.86e+307 Hz, got 1e308"),
+        ("omega_m_hz = 0.66e6\nlc_shift_hz = -8e9\n",
+         "omit.lc_shift_hz: must keep the LC frequency positive and finite, got -8e9"),
+        ("omega_m_hz = 0.66e6\npump_offset_hz = 2e6\n",
+         "omit.pump_offset_hz: must keep the pump red-detuned, above 0 Hz, got 2e6"),
     ], ids=["omega_m", "omega_m_zero", "gamma_m", "lc_extra_loss", "mode2_omega_m",
-            "mode2_gamma_m"])
+            "mode2_gamma_m", "omega_m_overflow", "lc_shift", "pump_offset"])
     def test_mode_and_pump_values_named_in_hz(self, tmp_path, capsys, mode_lines, message):
         cfg = self.omit_ini(tmp_path, mode_lines + "gamma_e_hz = 900\n")
         out = tmp_path / "o.csv"

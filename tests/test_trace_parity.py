@@ -1,0 +1,260 @@
+"""read_trace against the line-by-line reader it replaced.
+
+`reference_read_trace` below is the earlier parser, kept as the reference:
+on every edit of a valid file the array reader must return the same trace,
+bit for bit, or raise TraceParseError with the same message and line.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from cavlink import ComplexTrace, InvalidInputError, TraceKind, TraceParseError
+from cavlink.tracefile import read_trace, write_trace
+
+_COMPLEX_HEADER = "freq_hz,re,im"
+_POWER_HEADER = "freq_hz,power"
+_KIND_COMMENT = re.compile(r"#\s*kind\s*=\s*(\S+)")
+
+
+def _parse_kind(token, path, lineno):
+    for kind in TraceKind:
+        if token == kind.value:
+            return kind
+    raise TraceParseError(
+        path, lineno, f"unknown trace kind {token!r}; expected one of "
+        + ", ".join(k.value for k in TraceKind)
+    )
+
+
+def _parse_float(token, path, lineno, column):
+    try:
+        value = float(token)
+    except ValueError:
+        raise TraceParseError(
+            path, lineno, f"column {column}: {token!r} is not a number"
+        ) from None
+    if not math.isfinite(value):
+        raise TraceParseError(path, lineno, f"column {column}: non-finite value")
+    return value
+
+
+def reference_read_trace(path) -> ComplexTrace:
+    with open(path, "r") as handle:
+        raw_lines = handle.readlines()
+
+    kind = None
+    header = None
+    header_line = 0
+    freqs = []
+    values = []
+    for lineno, raw in enumerate(raw_lines, 1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            match = _KIND_COMMENT.match(line)
+            if match:
+                kind = _parse_kind(match.group(1), path, lineno)
+            continue
+        if header is None:
+            compact = line.replace(" ", "")
+            if compact not in (_COMPLEX_HEADER, _POWER_HEADER):
+                raise TraceParseError(
+                    path, lineno,
+                    f"expected header {_COMPLEX_HEADER!r} or {_POWER_HEADER!r}, "
+                    f"got {line!r}",
+                )
+            header = compact
+            header_line = lineno
+            continue
+        columns = [c.strip() for c in line.split(",")]
+        expected = 3 if header == _COMPLEX_HEADER else 2
+        if len(columns) != expected:
+            raise TraceParseError(
+                path, lineno, f"expected {expected} columns, got {len(columns)}"
+            )
+        f = _parse_float(columns[0], path, lineno, 1)
+        if freqs and f <= freqs[-1]:
+            raise TraceParseError(
+                path, lineno, "frequencies must be strictly increasing"
+            )
+        freqs.append(f)
+        if header == _COMPLEX_HEADER:
+            re_part = _parse_float(columns[1], path, lineno, 2)
+            im_part = _parse_float(columns[2], path, lineno, 3)
+            values.append(complex(re_part, im_part))
+        else:
+            values.append(_parse_float(columns[1], path, lineno, 2))
+
+    if header is None:
+        raise TraceParseError(path, len(raw_lines), "no header line found")
+    if len(freqs) < 2:
+        raise TraceParseError(
+            path, len(raw_lines), "a trace needs at least 2 samples"
+        )
+    if header == _POWER_HEADER:
+        if kind is None:
+            kind = TraceKind.POWER
+        elif kind is not TraceKind.POWER:
+            raise TraceParseError(
+                path, header_line,
+                f"kind comment says {kind.value!r} but header is power-only",
+            )
+        data = np.asarray(values, dtype=float)
+    else:
+        if kind is None:
+            kind = TraceKind.S21
+        elif kind is TraceKind.POWER:
+            raise TraceParseError(
+                path, header_line,
+                "kind comment says power but header has re,im columns",
+            )
+        data = np.asarray(values, dtype=complex)
+    try:
+        return ComplexTrace(np.asarray(freqs, dtype=float), data, kind)
+    except InvalidInputError as exc:
+        raise TraceParseError(path, len(raw_lines), str(exc)) from None
+
+
+def outcome(reader, path):
+    """What a reader makes of a file: the trace's kind and raw bytes, or the
+    error's message and line number."""
+    try:
+        trace = reader(path)
+    except TraceParseError as exc:
+        return ("error", str(exc), exc.line_number)
+    return ("trace", trace.kind, trace.freqs.tobytes(), trace.values.tobytes())
+
+
+def assert_same_outcome(path):
+    expected = outcome(reference_read_trace, path)
+    assert outcome(read_trace, path) == expected
+    return expected
+
+
+def valid_text(tmp_path, kind):
+    f = np.linspace(6.9e9, 7.1e9, 6)
+    if kind is TraceKind.POWER:
+        values = np.array([0.5, 0.25, 0.0, 1.0, 5e-324, 0.75])
+    else:
+        values = np.array([-0.0 + 0.5j, 0.25 - 0.0j, -1e300j, 5e-324 + 1j, 0.1, -0.2 - 0.3j])
+    path = tmp_path / "valid.csv"
+    write_trace(path, ComplexTrace(f, values, kind))
+    return path.read_text()
+
+
+def replace_line(text, index, new):
+    lines = text.split("\n")
+    lines[index] = new
+    return "\n".join(lines)
+
+
+def insert_line(text, index, new):
+    lines = text.split("\n")
+    lines.insert(index, new)
+    return "\n".join(lines)
+
+
+def on_data(text, edit):
+    lines = text.split("\n")
+    return "\n".join(lines[:3] + [edit(line) for line in lines[3:]])
+
+
+def complex_row(text, row):
+    """``row`` with a third column when ``text`` is a complex trace."""
+    return row + ",0" if ",re," in text else row
+
+
+# Lines 0-2 of a written file are two comments and the header; 3-8 are data.
+EDITS = {
+    "unchanged": lambda t: t,
+    "comment_and_blank_mid_data": lambda t: insert_line(insert_line(t, 5, "# note"), 7, "  "),
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "no_final_newline": lambda t: t.rstrip("\n"),
+    "spaces_and_tabs_around_columns": lambda t: on_data(t, lambda r: r.replace(",", " ,\t")),
+    "padded_lines": lambda t: "\n".join(f"  {line}\t" for line in t.split("\n")),
+    "unit_separator_padding": lambda t: on_data(t, lambda r: r.replace(",", "\x1f,\x1c")),
+    "kind_after_data": lambda t: t + "# kind = s11\n",
+    "power_kind_after_data": lambda t: t + "# kind = power_normalized\n",
+    "unknown_kind_after_data": lambda t: t + "# kind = s99\n",
+    "unknown_kind_after_bad_row": lambda t: replace_line(
+        t, 5, complex_row(t, "7e9,x")) + "# kind = s99\n",
+    "unknown_kind_mid_data_then_bad_row": lambda t: replace_line(
+        insert_line(t, 5, "#kind=s12"), 8, "oops"),
+    "ragged_short": lambda t: replace_line(t, 6, "7.0e9"),
+    "ragged_long": lambda t: replace_line(t, 4, t.split("\n")[4] + ",1,2"),
+    "non_number": lambda t: replace_line(t, 7, t.split("\n")[7].replace(".", "..", 1)),
+    "hex_float_last_column": lambda t: replace_line(
+        t, 6, t.split("\n")[6].rsplit(",", 1)[0] + ",0x1p3"),
+    "empty_column": lambda t: replace_line(t, 5, t.split("\n")[5].replace(",", ",,", 1)),
+    "nan_value": lambda t: replace_line(t, 6, complex_row(t, "7.0e9,nan")),
+    "inf_freq": lambda t: replace_line(t, 8, t.split("\n")[8].replace("7100000000.0", "inf")),
+    "minus_inf_last_column": lambda t: replace_line(
+        t, 4, t.split("\n")[4].rsplit(",", 1)[0] + ",-inf"),
+    "underscore_digits": lambda t: t.replace("0.5", "0_0.5").replace(
+        "7100000000.0", "7_100_000_000"),
+    "arabic_indic_digits": lambda t: replace_line(
+        t, 4, t.split("\n")[4].rsplit(",", 1)[0] + ",١٢"),
+    "repeated_freq": lambda t: replace_line(
+        t, 5, t.split("\n")[4].split(",")[0] + "," + t.split("\n")[5].split(",", 1)[1]),
+    "decreasing_freq": lambda t: replace_line(
+        t, 6, "6e9," + t.split("\n")[6].split(",", 1)[1]),
+    "ragged_and_non_number": lambda t: replace_line(t, 5, "x"),
+    "repeated_freq_and_non_number": lambda t: replace_line(
+        t, 5, complex_row(t, t.split("\n")[4].split(",")[0] + ",y")),
+    "nan_then_non_number": lambda t: replace_line(
+        t, 5, t.split("\n")[5].split(",")[0] + (",nan,z" if ",re," in t else ",nan")),
+    "non_number_then_nan": lambda t: replace_line(
+        t, 5, t.split("\n")[5].split(",")[0] + (",z,nan" if ",re," in t else ",z")),
+    "two_faulty_lines": lambda t: replace_line(replace_line(t, 7, "1,2,3,4,5"), 4, "q,1,1"),
+    "one_row": lambda t: "\n".join(t.split("\n")[:4]) + "\n",
+    "no_rows": lambda t: "\n".join(t.split("\n")[:3]) + "\n",
+    "no_header": lambda t: "\n".join(t.split("\n")[:2]) + "\n",
+    "empty_file": lambda t: "",
+    "bad_header": lambda t: replace_line(t, 2, "frequency,real,imag"),
+    "header_with_spaces": lambda t: replace_line(t, 2, t.split("\n")[2].replace(",", " , ")),
+    "negative_value": lambda t: replace_line(t, 6, t.split("\n")[6].replace(",", ",-", 1)),
+}
+
+
+@pytest.mark.parametrize("kind", list(TraceKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("edit", list(EDITS), ids=str)
+def test_edited_file_matches_reference(tmp_path, kind, edit):
+    path = tmp_path / "edited.csv"
+    path.write_text(EDITS[edit](valid_text(tmp_path, kind)), newline="")
+    assert_same_outcome(path)
+
+
+def test_edits_reach_both_outcomes(tmp_path):
+    # The table above is meant to exercise both paths of the reader.
+    seen = set()
+    for edit in EDITS.values():
+        path = tmp_path / "edited.csv"
+        path.write_text(edit(valid_text(tmp_path, TraceKind.S21)), newline="")
+        seen.add(assert_same_outcome(path)[0])
+    assert seen == {"trace", "error"}
+
+
+_TOKENS = st.sampled_from(
+    ["1", "2", "3", "2.5", "-0.0", "0", "5e-324", "1e300", "-1", "nan", "inf", "x", "",
+     " 4 ", "1_000", "١٢", "\x1c5", "1e309"]
+)
+_LINES = st.one_of(
+    st.lists(_TOKENS, min_size=1, max_size=4).map(",".join),
+    st.sampled_from(["", "   ", "# note", "# kind = s11", "# kind = power_normalized",
+                     "#kind=s21", "# kind = s99", "freq_hz,re,im", "freq_hz, power"]),
+)
+
+
+@given(lines=st.lists(_LINES, max_size=12), newline=st.sampled_from(["\n", "\r\n"]))
+def test_generated_files_match_reference(tmp_path_factory, lines, newline):
+    path = tmp_path_factory.mktemp("gen") / "gen.csv"
+    path.write_text("freq_hz,re,im\n" + newline.join(lines), newline="")
+    assert_same_outcome(path)
+    path.write_text("freq_hz,power\n" + newline.join(lines), newline="")
+    assert_same_outcome(path)

@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cavlink import ComplexTrace, ConfigError, TraceKind, TraceParseError
 from cavlink.tracefile import (
@@ -67,6 +69,54 @@ class TestRoundTrip:
         trace = read_trace(path)
         assert trace.kind is TraceKind.S11
         assert len(trace) == 2
+
+
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]
+_VALUES = st.one_of(
+    st.sampled_from(_EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False)
+)
+_POWERS = st.one_of(
+    st.sampled_from([v for v in _EDGE_VALUES if not v < 0.0]),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def traces(draw):
+    """Any valid trace of any kind: strictly increasing finite freqs, values
+    with signed zeros, subnormals and extremes (non-negative for power)."""
+    kind = draw(st.sampled_from(list(TraceKind)))
+    freqs = sorted(draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=40, unique=True
+    )))
+    n = len(freqs)
+    if kind is TraceKind.POWER:
+        values = np.array(draw(st.lists(_POWERS, min_size=n, max_size=n)))
+    else:
+        parts = draw(st.lists(_VALUES, min_size=2 * n, max_size=2 * n))
+        values = np.array(parts).view(complex)
+    return ComplexTrace(np.array(freqs), values, kind)
+
+
+def bit_equal(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@given(trace=traces())
+def test_file_round_trip_is_bit_exact(tmp_path_factory, trace):
+    folder = tmp_path_factory.mktemp("roundtrip")
+    first, second = folder / "first.csv", folder / "second.csv"
+    write_trace(first, trace)
+    loaded = read_trace(first)
+    assert loaded.kind is trace.kind
+    assert bit_equal(loaded.freqs, trace.freqs)
+    if trace.kind is TraceKind.POWER:
+        assert bit_equal(loaded.values, trace.values)
+    else:
+        assert bit_equal(loaded.values.real, trace.values.real)
+        assert bit_equal(loaded.values.imag, trace.values.imag)
+    write_trace(second, loaded)
+    assert second.read_bytes() == first.read_bytes()
 
 
 class TestParseErrors:
