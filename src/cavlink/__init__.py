@@ -15,7 +15,6 @@ from .coupled_modes import (
     resolved_sideband_ratio,
     s11,
     s21,
-    susceptibility,
 )
 from .design import (
     ALL_PRESETS,

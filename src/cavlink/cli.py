@@ -87,8 +87,10 @@ def _params_from_config(cp, preset_name) -> SystemParams:
 def _grid_from_config(cp) -> np.ndarray:
     if not cp.has_section("grid"):
         raise ConfigError("grid: missing required section")
-    start = config_float(cp, "grid", "f_start_hz")
-    stop = config_float(cp, "grid", "f_stop_hz")
+    start, stop = (config_float(cp, "grid", key) for key in ("f_start_hz", "f_stop_hz"))
+    for key, value in (("f_start_hz", start), ("f_stop_hz", stop)):
+        if np.isinf(hz_to_angular(value)):
+            raise _refused(cp, "grid", key, f"must be at most {_MAX_HZ:.3g} Hz in magnitude")
     points = config_int(cp, "grid", "points")
     if not start < stop:
         raise ConfigError("grid.f_stop_hz: must be greater than grid.f_start_hz")
@@ -349,7 +351,9 @@ def _mode_index(section):
 
 
 def _modes_from_config(cp):
-    """[omit] holds the first mode; [mode.2], [mode.3], ... add more."""
+    """[omit] holds the first mode; [mode.2], [mode.3], ... add more. Each
+    entry is ``(section, mode, key, value)``: the coupling_hz or gamma_e_hz
+    key given and its value in rad/s, or ``(None, 0.0)`` where neither is."""
     sections = ["omit"]
     sections.extend(
         sorted((s for s in cp.sections() if s.startswith("mode.")), key=_mode_index)
@@ -360,15 +364,17 @@ def _modes_from_config(cp):
             omega_m=_angular(cp, section, "omega_m_hz", "positive"),
             gamma_m=_angular(cp, section, "gamma_m_hz", "non-negative", 0.0),
         )
-        coupling, gamma_e = (  # None where absent
-            _angular(cp, section, key, "non-negative") if cp.has_option(section, key) else None
+        given = [
+            (key, _angular(cp, section, key, "non-negative"))
             for key in ("coupling_hz", "gamma_e_hz")
-        )
-        if coupling is not None and gamma_e is not None:
+            if cp.has_option(section, key)
+        ]
+        if len(given) > 1:
             raise ConfigError(
                 f"{section}: give coupling_hz or gamma_e_hz, not both"
             )
-        entries.append((mode, coupling, gamma_e))
+        key, value = given[0] if given else (None, 0.0)
+        entries.append((section, mode, key, value))
     return entries
 
 
@@ -383,14 +389,16 @@ def _cmd_omit(cp, out, preset_name):
     pump_offset = hz_to_angular(config_float(cp, "omit", "pump_offset_hz", default=0.0))
     kappa_lc_tot = effective_rates(pumped).kappa_lc_tot
 
-    modes = []
-    couplings = []
-    for mode, coupling, gamma_e in _modes_from_config(cp):
+    modes, couplings, gamma_es = [], [], []
+    for section, mode, key, value in _modes_from_config(cp):
+        coupling = coupling_for_damping(value, kappa_lc_tot) if key == "gamma_e_hz" else value
+        finite = np.isfinite(coupling)
+        gamma_e = electromechanical_damping(coupling, kappa_lc_tot) if finite else np.inf
+        if np.isinf(gamma_e):
+            raise _refused(cp, section, key, "must keep the coupling and its damping finite")
         modes.append(mode)
-        if gamma_e is not None:
-            coupling = coupling_for_damping(gamma_e, kappa_lc_tot)
-        couplings.append(0.0 if coupling is None else coupling)
-    gamma_es = [electromechanical_damping(c, kappa_lc_tot) for c in couplings]
+        couplings.append(coupling)
+        gamma_es.append(gamma_e)
 
     omega_pump = lower_sideband_pump(pumped, modes[0]) + pump_offset
     if not (omega_pump > 0.0 and pump_offset < modes[0].omega_m):

@@ -33,6 +33,10 @@ from .units import TWO_PI, angular_to_hz, hz_to_angular
 FREQUENCY_FIELDS = ("omega_cav", "omega_lc")
 RATE_FIELDS = ("kappa_cav_1", "kappa_cav_2", "kappa_cav_loss", "kappa_lc_bare", "g")
 PARAM_FIELDS = FREQUENCY_FIELDS + RATE_FIELDS
+#: The parameter domain: each field is finite and at least its floor here.
+#: Frequencies are positive (5e-324 is the smallest positive float), rates
+#: non-negative.
+_PARAM_FLOOR = {name: 5e-324 if name in FREQUENCY_FIELDS else 0.0 for name in PARAM_FIELDS}
 
 #: Default threshold on kappa_lc_tot / (4 omega_m) below which the device
 #: counts as resolved-sideband.
@@ -66,18 +70,12 @@ class SystemParams:
     g: float
 
     def __post_init__(self):
-        for name in FREQUENCY_FIELDS:
+        for name, floor in _PARAM_FLOOR.items():
             value = float(getattr(self, name))
-            if not np.isfinite(value) or value <= 0.0:
+            if not floor <= value < np.inf:
+                rule = "positive" if floor else "non-negative"
                 raise InvalidInputError(
-                    f"{name} must be positive and finite (rad/s), got {value!r}"
-                )
-            object.__setattr__(self, name, value)
-        for name in RATE_FIELDS:
-            value = float(getattr(self, name))
-            if not np.isfinite(value) or value < 0.0:
-                raise InvalidInputError(
-                    f"{name} must be non-negative and finite (rad/s), got {value!r}"
+                    f"{name} must be {rule} and finite (rad/s), got {value!r}"
                 )
             object.__setattr__(self, name, value)
         if self.g >= 0.1 * min(self.omega_cav, self.omega_lc):
@@ -190,15 +188,6 @@ class ComplexTrace:
             return self.values
         return np.abs(self.values) ** 2
 
-    def restrict(self, lo_hz: float, hi_hz: float) -> "ComplexTrace":
-        """Sub-trace with lo_hz <= f <= hi_hz (must keep at least 2 samples)."""
-        if not lo_hz < hi_hz:
-            raise InvalidInputError("restrict needs lo_hz < hi_hz")
-        mask = (self.freqs >= lo_hz) & (self.freqs <= hi_hz)
-        if np.count_nonzero(mask) < 2:
-            raise InvalidInputError("fewer than 2 samples inside the requested range")
-        return ComplexTrace(self.freqs[mask], self.values[mask], self.kind)
-
 
 def normalized_power_trace(trace: ComplexTrace) -> ComplexTrace:
     """Power trace scaled to unit maximum (kind ``power_normalized``)."""
@@ -207,40 +196,6 @@ def normalized_power_trace(trace: ComplexTrace) -> ComplexTrace:
     if peak <= 0.0:
         raise InvalidInputError("trace power is identically zero; cannot normalize")
     return ComplexTrace(trace.freqs, p / peak, TraceKind.POWER)
-
-
-def susceptibility(omega, omega_0, kappa_tot):
-    """Single-mode susceptibility chi(omega) = 1 / (i(omega_0 - omega) + kappa_tot/2).
-
-    All arguments in rad/s. |chi| peaks on resonance with value 2/kappa_tot,
-    and falls to 1/sqrt(2) of the peak at |omega_0 - omega| = kappa_tot/2.
-
-    Parameters
-    ----------
-    omega : float or ndarray
-        Probe frequency or frequencies.
-    omega_0 : float
-        Mode frequency.
-    kappa_tot : float
-        Total energy decay rate (>= 0).
-
-    Raises
-    ------
-    SingularResponseError
-        If kappa_tot = 0 and any probe point sits exactly on omega_0.
-    """
-    if not np.isfinite(kappa_tot) or kappa_tot < 0.0:
-        raise InvalidInputError(f"kappa_tot must be non-negative and finite, got {kappa_tot!r}")
-    om = np.asarray(omega, dtype=float)
-    den = 1j * (omega_0 - om) + 0.5 * kappa_tot
-    if np.any(den == 0.0):
-        raise SingularResponseError(
-            "lossless mode driven exactly on resonance (kappa_tot = 0 and omega = omega_0)"
-        )
-    chi = 1.0 / den
-    if np.ndim(omega) == 0:
-        return complex(chi)
-    return chi
 
 
 def _probe_angular(freqs) -> np.ndarray:

@@ -22,6 +22,7 @@ from .coupled_modes import (
     effective_rates,
     resolved_sideband_ratio,
     DEFAULT_SIDEBAND_THRESHOLD,
+    _PARAM_FLOOR,
     _mode_diagonal,
     _mode_solve,
     _rate_budget,
@@ -143,10 +144,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     x = hz_to_angular(np.array(spec.values_hz))
     # the check SystemParams (or effective_rates, for delta_eff) makes
     valid = np.isfinite(x)
-    if name == "omega_cav":
-        valid &= x > 0.0
-    elif name != "delta_eff":
-        valid &= x >= 0.0
+    if name != "delta_eff":
+        valid &= x >= _PARAM_FLOOR[name]
     x = np.where(valid, x, 0.0)  # refused values stay out of the arithmetic
     p = dict(zip(PARAM_FIELDS, _theta(base)))
     if name == "delta_eff":

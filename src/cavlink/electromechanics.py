@@ -72,7 +72,8 @@ def electromechanical_damping(coupling, kappa_lc_tot, *, omega_m=None):
             ValidityWarning,
             stacklevel=2,
         )
-    return 4.0 * coupling**2 / kappa_lc_tot
+    # a product, not coupling**2, which raises OverflowError on a Python float
+    return 4.0 * coupling * coupling / kappa_lc_tot
 
 
 def coupling_for_damping(gamma_e, kappa_lc_tot):
@@ -199,7 +200,7 @@ def multi_mode_omit(pumped, modes, couplings, omega_pump, freqs) -> ComplexTrace
             raise SingularResponseError(
                 "probe grid hits an undamped mechanical sideband exactly"
             )
-        lc_inverse = lc_inverse + coupling**2 / den
+        lc_inverse = lc_inverse + coupling * coupling / den
     vals = _scattering(om, _theta(pumped), TraceKind.S11, lc_inverse=lc_inverse)
     return ComplexTrace(freqs, vals, TraceKind.S11)
 

@@ -16,11 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coupled_modes import (
-    FREQUENCY_FIELDS,
     PARAM_FIELDS,
     ComplexTrace,
     SystemParams,
     TraceKind,
+    _PARAM_FLOOR,
     _scattering,
     _theta,
 )
@@ -158,8 +158,8 @@ class FitConfig:
     max_iterations : int
     tolerance : float
         Relative stopping threshold on cost reduction and step size.
-    weights : ndarray or None
-        Optional per-sample weights (uniform when None).
+
+    Every sample of a trace weighs the same in the fit.
     """
 
     free_params: tuple
@@ -167,7 +167,6 @@ class FitConfig:
     bounds: dict = field(default_factory=dict)
     max_iterations: int = 200
     tolerance: float = 1e-10
-    weights: object = None
 
     def __post_init__(self):
         free = tuple(self.free_params)
@@ -200,11 +199,7 @@ class FitConfig:
             raise InvalidInputError("tolerance must lie in (0, 1)")
 
     def effective_bounds(self, name: str) -> tuple:
-        if name in self.bounds:
-            return self.bounds[name]
-        if name in ("omega_cav", "omega_lc"):
-            return (5e-324, np.inf)  # frequencies must stay positive
-        return (0.0, np.inf)
+        return self.bounds.get(name, (_PARAM_FLOOR[name], np.inf))
 
 
 @dataclass(frozen=True)
@@ -213,7 +208,7 @@ class FitResult:
 
     ``params`` is the full parameter set (rad/s); ``uncertainties`` maps each
     free parameter to its 1-sigma from the residual covariance, quoted in Hz.
-    ``residual_norm`` is the RMS of the weighted residual vector.
+    ``residual_norm`` is the RMS of the residual vector.
     ``cost_trajectory`` holds the cost at the start and after each accepted
     iteration (monotone non-increasing by construction).
     ``model_evaluations`` counts calls of the model kernel, with or without
@@ -233,8 +228,8 @@ class FitResult:
     termination: str = ""
 
 
-def _residuals(om, theta, kind, data, root_w, free=()):
-    """Weighted residual vector of one trace; real-valued.
+def _residuals(om, theta, kind, data, free=()):
+    """Residual vector of one trace; real-valued.
 
     ``om``, ``theta`` and ``free`` are as for the model kernel; ``data`` is
     the trace's values, scaled to unit maximum for power traces. Complex
@@ -248,19 +243,19 @@ def _residuals(om, theta, kind, data, root_w, free=()):
     model, jac = out if free else (out, None)
     if not power:
         diff = model - data
-        r = np.concatenate([root_w * diff.real, root_w * diff.imag])
+        r = np.concatenate([diff.real, diff.imag])
         if jac is None:
             return r
-        return r, np.concatenate([root_w[:, None] * jac.real, root_w[:, None] * jac.imag])
+        return r, np.concatenate([jac.real, jac.imag])
     p = np.abs(model) ** 2
     k = int(np.argmax(p))
     peak = p[k] if p[k] > 0.0 else 1.0  # an all-zero model stays unscaled
     scaled = p / peak
-    r = root_w * (scaled - data)
+    r = scaled - data
     if jac is None:
         return r
     dp = 2.0 * (model.real[:, None] * jac.real + model.imag[:, None] * jac.imag)
-    return r, root_w[:, None] * (dp - scaled[:, None] * dp[k]) / peak
+    return r, (dp - scaled[:, None] * dp[k]) / peak
 
 
 def _check_degenerate(jac, names):
@@ -310,21 +305,13 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
             f"trace has {len(trace)} points; need at least "
             f"{_MIN_POINTS_PER_PARAM} per free parameter ({len(names)} free)"
         )
-    if config.weights is None:
-        root_w = np.ones(len(trace))
-    else:
-        w = np.asarray(config.weights, dtype=float)
-        if w.shape != trace.freqs.shape or np.any(w < 0.0) or not np.all(np.isfinite(w)):
-            raise InvalidInputError("weights must be finite, non-negative, one per sample")
-        root_w = np.sqrt(w)
 
     base = config.initial_guess
     lo = np.array([config.effective_bounds(n)[0] for n in names])
     hi = np.array([config.effective_bounds(n)[1] for n in names])
     x = np.array([getattr(base, n) for n in names], dtype=float)
 
-    # The model's domain: frequencies positive, rates non-negative, all finite.
-    domain_lo = np.array([5e-324 if n in FREQUENCY_FIELDS else 0.0 for n in names])
+    domain_lo = np.array([_PARAM_FLOOR[n] for n in names])  # the model's domain
     free = tuple(PARAM_FIELDS.index(n) for n in names)
     theta = list(_theta(base))
     om = TWO_PI * trace.freqs
@@ -338,7 +325,7 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
         evaluations += 1
         for index, value in zip(free, xv):
             theta[index] = float(value)
-        return _residuals(om, theta, trace.kind, data, root_w, free if with_jac else ())
+        return _residuals(om, theta, trace.kind, data, free if with_jac else ())
 
     def cost_of(xv):
         # A trial outside the model's domain or with a non-finite model
@@ -496,8 +483,11 @@ class MultiTraceFit:
     consistent: dict
 
 
-def multi_trace_fit(traces, shared, config: FitConfig, *, auto_guess=True) -> MultiTraceFit:
+def multi_trace_fit(traces, shared, config: FitConfig) -> MultiTraceFit:
     """Fit several traces independently and pool the shared parameters.
+
+    Before each fit, :func:`auto_initial_guess` refreshes the trace's
+    starting point for any free resonance frequency.
 
     Parameters
     ----------
@@ -508,10 +498,7 @@ def multi_trace_fit(traces, shared, config: FitConfig, *, auto_guess=True) -> Mu
         coupling rate). Averaged with mean +/- standard error. Parameters
         not listed (typically omega_cav, omega_lc) stay individual.
     config : FitConfig
-        Applied to every trace.
-    auto_guess : bool
-        Refresh each trace's initial guess for free resonance frequencies
-        with :func:`auto_initial_guess` before fitting.
+        Applied to every trace, with the refreshed starting point.
 
     Notes
     -----
@@ -529,17 +516,14 @@ def multi_trace_fit(traces, shared, config: FitConfig, *, auto_guess=True) -> Mu
     results = []
     for trace in traces:
         cfg = config
-        if auto_guess:
-            guessed = auto_initial_guess(trace, config.initial_guess)
-            updates = {
-                n: getattr(guessed, n)
-                for n in ("omega_cav", "omega_lc")
-                if n in config.free_params
-            }
-            if updates:
-                cfg = dataclasses.replace(
-                    config, initial_guess=config.initial_guess.replace(**updates)
-                )
+        guessed = auto_initial_guess(trace, config.initial_guess)
+        updates = {
+            n: getattr(guessed, n) for n in ("omega_cav", "omega_lc") if n in config.free_params
+        }
+        if updates:
+            cfg = dataclasses.replace(
+                config, initial_guess=config.initial_guess.replace(**updates)
+            )
         results.append(fit_trace(trace, cfg))
 
     n = len(results)

@@ -87,13 +87,21 @@ class TestSimulate:
         expected = s21(p, np.linspace(6.8e9, 7.6e9, 101))
         assert np.allclose(loaded.values, expected.values, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("line, message", [
-        ("kappa_lc_bare_hz = -5", "params.kappa_lc_bare_hz: must be non-negative, got -5"),
-        ("omega_cav_hz = 0", "params.omega_cav_hz: must be positive, got 0"),
-        ("g_hz = 1e308", "params.g_hz: must be at most 2.86e+307 Hz, got 1e308"),
-    ], ids=["negative_rate", "zero_frequency", "overflow"])
-    def test_params_named_in_hz(self, tmp_path, capsys, line, message):
-        cfg = write_ini(tmp_path, grid_section(6.8e9, 7.6e9, 101) + f"[params]\n{line}\n")
+    @pytest.mark.parametrize("line, grid, message", [
+        ("kappa_lc_bare_hz = -5", None, "params.kappa_lc_bare_hz: must be non-negative, got -5"),
+        ("omega_cav_hz = 0", None, "params.omega_cav_hz: must be positive, got 0"),
+        ("g_hz = 1e308", None, "params.g_hz: must be at most 2.86e+307 Hz, got 1e308"),
+        # grid ends finite in Hz but infinite in rad/s
+        ("", ("6.8e9", "1e308"),
+         "grid.f_stop_hz: must be at most 2.86e+307 Hz in magnitude, got 1e308"),
+        ("", ("-1e308", "7.6e9"),
+         "grid.f_start_hz: must be at most 2.86e+307 Hz in magnitude, got -1e308"),
+    ], ids=["negative_rate", "zero_frequency", "overflow", "grid_stop_overflow",
+            "grid_start_overflow"])
+    def test_params_named_in_hz(self, tmp_path, capsys, line, grid, message):
+        start, stop = grid or ("6.8e9", "7.6e9")
+        text = f"[grid]\nf_start_hz = {start}\nf_stop_hz = {stop}\npoints = 101\n"
+        cfg = write_ini(tmp_path, text + f"[params]\n{line}\n")
         out = tmp_path / "x.csv"
         assert run(["simulate", "--config", cfg, "--out", str(out), "--preset", "hat270"]) == 2
         err = capsys.readouterr().err
@@ -478,8 +486,19 @@ class TestOmit:
          "omit.lc_shift_hz: must keep the LC frequency positive and finite, got -8e9"),
         ("omega_m_hz = 0.66e6\npump_offset_hz = 2e6\n",
          "omit.pump_offset_hz: must keep the pump red-detuned, above 0 Hz, got 2e6"),
+        # 4 G^2 / kappa_lc_tot overflows
+        ("omega_m_hz = 0.66e6\ncoupling_hz = 1e300\n[mode.2]\nomega_m_hz = 1.1e6\n",
+         "omit.coupling_hz: must keep the coupling and its damping finite, got 1e300"),
+        ("omega_m_hz = 0.66e6\n[mode.2]\nomega_m_hz = 1.1e6\ncoupling_hz = 1e300\n"
+         "[mode.3]\nomega_m_hz = 1.5e6\n",
+         "mode.2.coupling_hz: must keep the coupling and its damping finite, got 1e300"),
+        # G = sqrt(gamma_e kappa_lc_tot) / 2 overflows
+        ("omega_m_hz = 0.66e6\n[mode.2]\nomega_m_hz = 1.1e6\ngamma_e_hz = 1e307\n"
+         "[mode.3]\nomega_m_hz = 1.5e6\n",
+         "mode.2.gamma_e_hz: must keep the coupling and its damping finite, got 1e307"),
     ], ids=["omega_m", "omega_m_zero", "gamma_m", "lc_extra_loss", "mode2_omega_m",
-            "mode2_gamma_m", "omega_m_overflow", "lc_shift", "pump_offset"])
+            "mode2_gamma_m", "omega_m_overflow", "lc_shift", "pump_offset",
+            "damping_overflow", "mode2_damping_overflow", "mode2_coupling_overflow"])
     def test_mode_and_pump_values_named_in_hz(self, tmp_path, capsys, mode_lines, message):
         cfg = self.omit_ini(tmp_path, mode_lines + "gamma_e_hz = 900\n")
         out = tmp_path / "o.csv"

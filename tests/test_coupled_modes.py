@@ -1,4 +1,6 @@
-"""Core response model: susceptibility, S-parameters, dressed modes, rates."""
+"""Core response model: parameters, traces, S-parameters, dressed modes, rates."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +8,11 @@ import pytest
 from cavlink import (
     BranchAssignmentError,
     ComplexTrace,
+    FitConfig,
     InvalidInputError,
+    SWEEPABLE_FIELDS,
     SingularResponseError,
+    SweepSpec,
     SystemParams,
     TWO_PI,
     TraceKind,
@@ -21,47 +26,13 @@ from cavlink import (
     mode_matrix,
     normalized_power_trace,
     resolved_sideband_ratio,
+    run_sweep,
     s11,
     s21,
-    susceptibility,
 )
+from cavlink.coupled_modes import FREQUENCY_FIELDS, PARAM_FIELDS
 
 from conftest import merged_grid, reference_params, random_params
-
-
-class TestSusceptibility:
-    def test_on_resonance_value(self):
-        # chi(omega_0) = 2/kappa_tot; with kappa_tot = 2 that is exactly 1
-        assert susceptibility(5.0, 5.0, 2.0) == 1.0 + 0.0j
-
-    def test_half_width_point_halves_power(self):
-        omega_0, kappa = hz_to_angular(7.0e9), hz_to_angular(1.0e6)
-        peak = abs(susceptibility(omega_0, omega_0, kappa)) ** 2
-        half = abs(susceptibility(omega_0 - kappa / 2.0, omega_0, kappa)) ** 2
-        assert half == pytest.approx(peak / 2.0, rel=1e-12)
-
-    def test_frozen_reference_value(self):
-        # independent complex-arithmetic evaluation, frozen
-        value = susceptibility(
-            hz_to_angular(7.1e9), hz_to_angular(7.0e9), hz_to_angular(150e6)
-        )
-        assert value == pytest.approx(
-            7.639437268411008e-10 + 1.0185916357881311e-09j, rel=1e-15
-        )
-
-    def test_lossless_on_resonance_is_singular(self):
-        with pytest.raises(SingularResponseError):
-            susceptibility(5.0, 5.0, 0.0)
-
-    def test_negative_kappa_rejected(self):
-        with pytest.raises(InvalidInputError):
-            susceptibility(5.0, 5.0, -1.0)
-
-    def test_array_input(self):
-        om = hz_to_angular(np.array([6.9e9, 7.0e9, 7.1e9]))
-        out = susceptibility(om, hz_to_angular(7.0e9), hz_to_angular(1e6))
-        assert out.shape == (3,)
-        assert np.abs(out).argmax() == 1
 
 
 class TestSystemParams:
@@ -82,6 +53,37 @@ class TestSystemParams:
     def test_nonfinite_rejected(self):
         with pytest.raises(InvalidInputError, match="g"):
             reference_params(g=float("nan"))
+
+    @pytest.mark.parametrize("name", PARAM_FIELDS)
+    @pytest.mark.parametrize("edge", ["floor", "below_floor", "minus_zero", "nan", "inf", "-inf"])
+    def test_domain_edges_agree(self, name, edge):
+        """SystemParams, the fit's default bounds and run_sweep's refusal
+        mask draw one line: finite, frequencies positive, rates non-negative."""
+        floor = 5e-324 if name in FREQUENCY_FIELDS else 0.0
+        value, inside = {
+            "floor": (floor, True),
+            "below_floor": (np.nextafter(floor, -1.0), False),
+            "minus_zero": (-0.0, floor == 0.0),
+            "nan": (np.nan, False),
+            "inf": (np.inf, False),
+            "-inf": (-np.inf, False),
+        }[edge]
+        base = reference_params()
+        rule = "positive" if name in FREQUENCY_FIELDS else "non-negative"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidityWarning)
+            if inside:
+                assert getattr(base.replace(**{name: value}), name) == value
+            else:
+                with pytest.raises(InvalidInputError, match=rf"^{name} must be {rule} and finite"):
+                    base.replace(**{name: value})
+            lo, hi = FitConfig((name,), base).effective_bounds(name)
+            assert (lo, hi) == (floor, np.inf)
+            assert (lo <= value < hi) == inside
+            if name in SWEEPABLE_FIELDS:
+                # as a Hz value: times 2 pi keeps each edge on its side
+                (row,) = run_sweep(SweepSpec(base, name, (value,))).rows
+                assert row.valid == inside
 
     def test_kappa_cav_tot_is_port_sum(self):
         p = reference_params()
@@ -124,13 +126,6 @@ class TestComplexTrace:
             np.array([1.0, 2.0]), np.array([3.0 + 4.0j, 1.0]), TraceKind.S21
         )
         assert t.power() == pytest.approx([25.0, 1.0])
-
-    def test_restrict(self):
-        t = ComplexTrace(np.arange(10.0), np.arange(10.0) * 1j, TraceKind.S21)
-        sub = t.restrict(2.5, 6.5)
-        assert sub.freqs[0] == 3.0 and sub.freqs[-1] == 6.0
-        with pytest.raises(InvalidInputError):
-            t.restrict(2.1, 2.2)
 
     def test_normalized_power_trace(self):
         t = ComplexTrace(

@@ -248,15 +248,6 @@ class TestFitTrace:
         with pytest.raises(InvalidInputError, match="points"):
             fit_trace(trace, cfg)
 
-    def test_weights_validated(self):
-        truth = reference_params()
-        trace = s21(truth, merged_grid(truth))
-        cfg = FitConfig(
-            free_params=("g",), initial_guess=truth, weights=np.ones(3)
-        )
-        with pytest.raises(InvalidInputError, match="weights"):
-            fit_trace(trace, cfg)
-
     def test_uncertainties_in_hz_and_nonnegative(self):
         truth = reference_params()
         trace = add_noise(s21(truth, merged_grid(truth)), 0.01, seed=7)
@@ -356,7 +347,7 @@ class TestFitDiagnostics:
             add_noise(s21(truth, merged_grid(truth)), 0.01, seed=s) for s in (1, 2)
         ]
         cfg = FitConfig(free_params=("omega_lc", "g"), initial_guess=truth)
-        joint = multi_trace_fit(traces, ("g",), cfg, auto_guess=False)
+        joint = multi_trace_fit(traces, ("g",), cfg)
         assert joint.combined.model_evaluations == sum(
             r.model_evaluations for r in joint.per_trace
         )
@@ -552,7 +543,7 @@ def jacobian_cases(draw):
 def _trial_residuals(name, kind, theta):
     om = _HAT_OM[name]
     data = np.zeros(om.size, dtype=float if kind is TraceKind.POWER else complex)
-    return _residuals(om, theta, kind, data, np.ones(om.size))
+    return _residuals(om, theta, kind, data)
 
 
 class TestAnalyticJacobian:
@@ -579,7 +570,7 @@ class TestAnalyticJacobian:
         name, kind, theta, free, zero = case
         om = _HAT_OM[name]
         data = np.zeros(om.size, dtype=float if kind is TraceKind.POWER else complex)
-        r, jac = _residuals(om, theta, kind, data, np.ones(om.size), free)
+        r, jac = _residuals(om, theta, kind, data, free)
         if kind is TraceKind.POWER:
             # the normalization is differentiated at the argmax sample; a
             # difference step that moves the argmax would cross a kink
