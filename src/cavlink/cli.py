@@ -69,12 +69,10 @@ _MAX_HZ = angular_to_hz(sys.float_info.max)  # the largest value that is finite 
 def _params_from_config(cp, preset_name) -> SystemParams:
     """[params] over the named preset; with no preset, rates default to 0 Hz
     and the frequencies are required."""
-    if not preset_name:
-        defaults = {f"{name}_hz": 0.0 for name in RATE_FIELDS}
-    elif cp.has_section("params"):
+    if preset_name:
         defaults = ALL_PRESETS[preset_name].to_hz()
     else:
-        return ALL_PRESETS[preset_name]  # as stored: Hz round trips are not bit-exact
+        defaults = {f"{name}_hz": 0.0 for name in RATE_FIELDS}
     return SystemParams(**{
         name: _angular(
             cp, "params", f"{name}_hz", "non-negative" if name in RATE_FIELDS else "positive",

@@ -19,6 +19,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
+from operator import attrgetter
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .errors import (
     SingularResponseError,
     ValidityWarning,
 )
-from .units import TWO_PI, angular_to_hz, hz_to_angular
+from .units import angular_to_hz, hz_to_angular
 
 FREQUENCY_FIELDS = ("omega_cav", "omega_lc")
 RATE_FIELDS = ("kappa_cav_1", "kappa_cav_2", "kappa_cav_loss", "kappa_lc_bare", "g")
@@ -78,7 +79,7 @@ class SystemParams:
                     f"{name} must be {rule} and finite (rad/s), got {value!r}"
                 )
             object.__setattr__(self, name, value)
-        if self.g >= 0.1 * min(self.omega_cav, self.omega_lc):
+        if _ultrastrong(self.omega_cav, self.omega_lc, self.g):
             _warn_ultrastrong()
 
     @property
@@ -118,9 +119,14 @@ class SystemParams:
         return {f"{name}_hz": angular_to_hz(getattr(self, name)) for name in PARAM_FIELDS}
 
 
+def _ultrastrong(omega_cav, omega_lc, g):
+    """g >= 0.1 min(omega_cav, omega_lc), elementwise on arrays."""
+    return (g >= 0.1 * omega_cav) | (g >= 0.1 * omega_lc)
+
+
 def _warn_ultrastrong():
-    """The ValidityWarning for g >= min(omega_cav, omega_lc)/10, reported at
-    the caller of the function that issues it."""
+    """The ValidityWarning :func:`_ultrastrong` flags, reported at the caller
+    of the function that issues it."""
     warnings.warn(
         "g exceeds min(omega_cav, omega_lc)/10; the rotating-wave "
         "two-mode model is not trustworthy this far into ultrastrong "
@@ -198,22 +204,13 @@ def normalized_power_trace(trace: ComplexTrace) -> ComplexTrace:
     return ComplexTrace(trace.freqs, p / peak, TraceKind.POWER)
 
 
-def _probe_angular(freqs) -> np.ndarray:
-    """Validate a Hz frequency grid and convert to rad/s."""
-    f = np.asarray(freqs, dtype=float)
-    if f.size == 0:
-        raise InvalidInputError("freqs must not be empty")
-    return TWO_PI * f
-
-
 def _lc_inverse_bare(omega_lc: float, kappa_lc_bare: float, om: np.ndarray) -> np.ndarray:
     # 1/chi of the bare LC mode; zeros mark the lossless-on-resonance points.
     return 1j * (omega_lc - om) + 0.5 * kappa_lc_bare
 
 
-def _theta(params: SystemParams) -> tuple:
-    """The seven fields of ``params`` as plain floats, in PARAM_FIELDS order."""
-    return tuple(getattr(params, name) for name in PARAM_FIELDS)
+#: The seven fields of a SystemParams as plain floats, in PARAM_FIELDS order.
+_theta = attrgetter(*PARAM_FIELDS)
 
 
 def _scattering(om, theta, kind, free=(), lc_inverse=None):
@@ -255,7 +252,7 @@ def _scattering(om, theta, kind, free=(), lc_inverse=None):
         d = cavity
     else:
         live = lc_inverse != 0.0  # False where the LC shorts the cavity
-        d = cavity + np.divide(g**2, lc_inverse, out=np.zeros_like(cavity), where=live)
+        d = cavity + np.divide(g * g, lc_inverse, out=np.zeros_like(cavity), where=live)
     if np.any((d == 0.0) & live):
         raise SingularResponseError(
             "lossless coupled system driven exactly on a normal mode"
@@ -315,7 +312,8 @@ def s21(params: SystemParams, freqs) -> ComplexTrace:
     The LC mode appears as a narrow feature riding on the broad cavity peak;
     with a lossless LC the transmission has an exact null at omega_lc.
     """
-    vals = _scattering(_probe_angular(freqs), _theta(params), TraceKind.S21)
+    om = hz_to_angular(np.asarray(freqs, dtype=float))
+    vals = _scattering(om, _theta(params), TraceKind.S21)
     return ComplexTrace(freqs, vals, TraceKind.S21)
 
 
@@ -326,7 +324,8 @@ def s11(params: SystemParams, freqs) -> ComplexTrace:
     A single-port critically coupled bare cavity (kappa_cav_1 = kappa_cav_tot)
     reflects -1 on resonance; far off resonance S11 -> 1.
     """
-    vals = _scattering(_probe_angular(freqs), _theta(params), TraceKind.S11)
+    om = hz_to_angular(np.asarray(freqs, dtype=float))
+    vals = _scattering(om, _theta(params), TraceKind.S11)
     return ComplexTrace(freqs, vals, TraceKind.S11)
 
 
@@ -378,12 +377,15 @@ def _mode_solve(a, d, g):
     return a - pull, d + pull, 1.0 / (1.0 + abs(ratio) ** 2)
 
 
-def _mode_diagonal(params: SystemParams):
-    """Diagonal of :func:`mode_matrix`: the bare complex cavity and LC modes."""
-    return (
-        complex(params.omega_cav, -0.5 * params.kappa_cav_tot),
-        complex(params.omega_lc, -0.5 * params.kappa_lc_bare),
+def _dressed(omega_cav, omega_lc, k1, k2, k_loss, k_lc, g):
+    """:func:`_mode_solve` on the seven fields in PARAM_FIELDS order, any of
+    them arrays, plus ``fifty_fifty``: true where the branches are too evenly
+    hybridized to name."""
+    lam_cav, lam_lc, weight = _mode_solve(
+        omega_cav - 0.5j * (k1 + k2 + k_loss), omega_lc - 0.5j * k_lc, g
     )
+    # the LC-like branch carries the complementary weight 1 - weight
+    return lam_cav, lam_lc, weight, weight - (1.0 - weight) < 1e-9
 
 
 def hybridized_eigenvalues(params: SystemParams):
@@ -392,7 +394,7 @@ def hybridized_eigenvalues(params: SystemParams):
     Available even when branch labeling is ambiguous (exact 50/50
     hybridization), where :func:`dressed_modes` refuses to assign names.
     """
-    lam_cav, lam_lc, _ = _mode_solve(*_mode_diagonal(params), params.g)
+    lam_cav, lam_lc, _, _ = _dressed(*_theta(params))
     upper, lower = complex(lam_cav), complex(lam_lc)
     if lower.real > upper.real:
         upper, lower = lower, upper
@@ -432,10 +434,8 @@ def dressed_modes(params: SystemParams) -> DressedModes:
         If both eigenvectors hybridize exactly 50/50 (symmetric crossing);
         use :func:`hybridized_eigenvalues` if only the eigenvalues matter.
     """
-    lam_cav, lam_lc, weight = _mode_solve(*_mode_diagonal(params), params.g)
-    weight = float(weight)
-    # the LC-like branch carries the complementary weight 1 - weight
-    if weight - (1.0 - weight) < 1e-9:
+    lam_cav, lam_lc, weight, fifty_fifty = _dressed(*_theta(params))
+    if fifty_fifty:
         raise BranchAssignmentError(
             "eigenvectors hybridize 50/50; cavity/LC branches cannot be assigned"
         )
@@ -445,7 +445,7 @@ def dressed_modes(params: SystemParams) -> DressedModes:
         kappa_cav=float(0.0 - 2.0 * lam_cav.imag),
         omega_lc=float(lam_lc.real),
         kappa_lc=float(0.0 - 2.0 * lam_lc.imag),
-        cavity_weight=weight,
+        cavity_weight=float(weight),
     )
 
 

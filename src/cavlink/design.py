@@ -23,10 +23,10 @@ from .coupled_modes import (
     resolved_sideband_ratio,
     DEFAULT_SIDEBAND_THRESHOLD,
     _PARAM_FLOOR,
-    _mode_diagonal,
-    _mode_solve,
+    _dressed,
     _rate_budget,
     _theta,
+    _ultrastrong,
     _warn_ultrastrong,
 )
 from .errors import BranchAssignmentError, InvalidInputError, NoSolutionError
@@ -50,12 +50,12 @@ class SweepTargets:
         lo, hi = self.coupling_band_hz
         if not (lo < hi):
             raise InvalidInputError("coupling_band_hz must satisfy lo < hi")
-        if lo < 0.0:
-            raise InvalidInputError("coupling_band_hz must be nonnegative")
-        if self.omega_m_hz <= 0.0:
-            raise InvalidInputError("omega_m_hz must be positive")
-        if self.sideband_threshold <= 0.0:
-            raise InvalidInputError("sideband_threshold must be positive")
+        if lo < 0.0 or hi == math.inf:
+            raise InvalidInputError("coupling_band_hz must be nonnegative and finite")
+        if not 0.0 < hz_to_angular(self.omega_m_hz) < math.inf:
+            raise InvalidInputError("omega_m_hz must be positive and finite in rad/s")
+        if not 0.0 < self.sideband_threshold < math.inf:
+            raise InvalidInputError("sideband_threshold must be positive and finite")
         if not 0.0 <= self.max_dissipation_fraction <= 1.0:
             raise InvalidInputError("max_dissipation_fraction must be in [0, 1]")
 
@@ -107,13 +107,6 @@ class SweepResult:
         return len(self.rows)
 
 
-def _column(values, n):
-    """``values`` (an array of n entries, or one scalar for all n) as a list
-    of Python scalars."""
-    values = np.asarray(values).tolist()
-    return values if isinstance(values, list) else [values] * n
-
-
 def _refusal(base, swept_field, value_hz):
     """The library's own error text for a value the array pass refused: the
     scalar path raises it for that one value."""
@@ -153,16 +146,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         noisy = False
     else:
         p[name] = x
-        # dressed_modes on every value at once: the same diagonals and the
-        # 50/50 test, per element
-        a = np.empty(x.shape, dtype=complex)
-        a.real = p["omega_cav"]
-        a.imag = -0.5 * (p["kappa_cav_1"] + p["kappa_cav_2"] + p["kappa_cav_loss"])
-        lam_cav, lam_lc, weight = _mode_solve(a, _mode_diagonal(base)[1], p["g"])
+        # dressed_modes and SystemParams' warning test on every value at once
+        lam_cav, lam_lc, _, fifty_fifty = _dressed(*p.values())
         delta = lam_cav.real - lam_lc.real
-        valid &= ~(weight - (1.0 - weight) < 1e-9)
-        valid &= np.isfinite(delta)
-        noisy = p["g"] >= 0.1 * np.minimum(p["omega_cav"], p["omega_lc"])
+        valid &= ~fifty_fifty & np.isfinite(delta)
+        noisy = _ultrastrong(p["omega_cav"], p["omega_lc"], p["g"])
     budget = _rate_budget(*(p[field] for field in RATE_FIELDS), delta)
     _, keff1, keff2, _, lc_loss, lc_tot, fraction, _, diverges = budget
     # effective_rates refuses diverging rates; DerivedRates, a budget that
@@ -177,12 +165,15 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     )
     flags = zip(
         valid.tolist(),
-        _column(noisy, x.size),
+        np.broadcast_to(noisy, x.shape).tolist(),
         ((lo <= keff1_hz) & (keff1_hz <= hi)).tolist(),
         (ratio < targets.sideband_threshold).tolist(),
         (fraction <= targets.max_dissipation_fraction).tolist(),
     )
-    columns = zip(*(_column(c, x.size) for c in (delta, *budget[:-1])))
+    # delta has one entry per value, and so has every budget column that
+    # follows it; only kappa_cav_tot can be one scalar for the whole sweep
+    ktot = np.broadcast_to(budget[0], x.shape)
+    columns = zip(*(c.tolist() for c in (delta, ktot, *budget[1:-1])))
     rows = []
     for value_hz, fields, (ok, warn, band, sideband, dissipation) in zip(
         spec.values_hz, columns, flags
@@ -205,27 +196,30 @@ def find_target_detuning(base: SystemParams, target_keff1_hz: float) -> float:
 
         delta = sqrt(kappa_cav_1 g^2 / kappa_eff_1 - (kappa_cav_tot / 2)^2)
 
-    Raises NoSolutionError when the target exceeds the zero-detuning maximum.
+    Raises NoSolutionError when the target exceeds the zero-detuning maximum
+    and InvalidInputError where a term under the root overflows.
     """
     if not target_keff1_hz > 0.0:
         raise InvalidInputError("target_keff1_hz must be positive")
     target = hz_to_angular(target_keff1_hz)
-    k1 = base.kappa_cav_1
-    ktot = base.kappa_cav_tot
-    g = base.g
+    k1, g, half = base.kappa_cav_1, base.g, 0.5 * base.kappa_cav_tot
     if k1 == 0.0 or g == 0.0:
         raise NoSolutionError(
             "kappa_cav_1 and g must be nonzero for any effective coupling"
         )
-    peak = k1 * g**2 / (0.5 * ktot) ** 2 if ktot > 0.0 else float("inf")
+    # squares as products, as in _rate_budget: Python's ** raises OverflowError
+    reach, floor = k1 * (g * g), half * half
+    peak = reach / floor if floor > 0.0 else math.inf
     if target > peak:
         raise NoSolutionError(
             f"target kappa_eff_1 of {target_keff1_hz} Hz exceeds the "
             f"zero-detuning maximum of {angular_to_hz(peak)} Hz"
         )
-    arg = k1 * g**2 / target - (0.5 * ktot) ** 2
     # target == peak gives arg == 0 up to rounding; clamp the negative dust
-    return angular_to_hz(max(arg, 0.0) ** 0.5)
+    delta = max(reach / target - floor, 0.0) ** 0.5
+    if not math.isfinite(delta):
+        raise InvalidInputError(f"target kappa_eff_1 of {target_keff1_hz} Hz overflows in rad/s")
+    return angular_to_hz(delta)
 
 
 def with_dressed_detuning(base: SystemParams, delta_eff_hz: float) -> SystemParams:
@@ -241,7 +235,7 @@ def with_dressed_detuning(base: SystemParams, delta_eff_hz: float) -> SystemPara
     with dk = kappa_cav_tot - kappa_lc_bare. The dressed detuning exceeds the
     bare one by the repulsion of the two modes, so targets at or below the
     minimum splitting 2 sqrt((g - |dk|/4)(g + |dk|/4)) are unreachable and
-    raise NoSolutionError.
+    raise NoSolutionError; InvalidInputError marks squares that overflow.
     """
     if not (delta_eff_hz > 0.0 and math.isfinite(delta_eff_hz)):
         raise InvalidInputError("delta_eff_hz must be positive and finite")
@@ -250,13 +244,18 @@ def with_dressed_detuning(base: SystemParams, delta_eff_hz: float) -> SystemPara
     # g^2 - dk^2/16 as a product: near the exceptional point (g ~ |dk|/4) the
     # expanded form cancels to rounding noise of g^2 and misjudges the edge
     quarter = abs(dk) / 4.0
-    numerator = 0.25 * target**2 - (base.g - quarter) * (base.g + quarter)
+    square = target * target  # a product, as in _rate_budget: ** can raise
+    numerator = 0.25 * square - (base.g - quarter) * (base.g + quarter)
     if numerator <= 0.0:
         raise NoSolutionError(
             f"dressed detuning of {delta_eff_hz} Hz is below the minimum "
             "mode splitting for these parameters"
         )
-    delta_bare = math.sqrt(numerator / (0.25 + dk**2 / (16.0 * target**2)))
+    if not numerator < math.inf:
+        raise InvalidInputError(f"dressed detuning of {delta_eff_hz} Hz overflows in rad/s")
+    # a target whose square underflows leaves omega_cav on omega_lc
+    spread = dk * dk / (16.0 * square) if square > 0.0 else math.inf
+    delta_bare = math.sqrt(numerator / (0.25 + spread))
     return base.replace(omega_cav=base.omega_lc + delta_bare)
 
 

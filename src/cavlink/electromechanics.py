@@ -25,7 +25,6 @@ from .coupled_modes import (
     SystemParams,
     TraceKind,
     _lc_inverse_bare,
-    _probe_angular,
     _scattering,
     _theta,
     dressed_modes,
@@ -33,6 +32,7 @@ from .coupled_modes import (
     resolved_sideband_ratio,
 )
 from .errors import InvalidInputError, SingularResponseError, ValidityWarning
+from .units import hz_to_angular
 
 
 @dataclass(frozen=True)
@@ -190,7 +190,7 @@ def multi_mode_omit(pumped, modes, couplings, omega_pump, freqs) -> ComplexTrace
                 stacklevel=2,
             )
 
-    om = _probe_angular(freqs)
+    om = hz_to_angular(np.asarray(freqs, dtype=float))
     lc_inverse = _lc_inverse_bare(pumped.omega_lc, pumped.kappa_lc_bare, om)
     for mode, coupling in zip(modes, couplings):
         if coupling == 0.0:
@@ -221,5 +221,5 @@ def transparency_signal(pumped, on: ComplexTrace) -> ComplexTrace:
         raise InvalidInputError(
             f"transparency_signal needs the pumped s11 trace, got {on.kind.value}"
         )
-    off = _scattering(_probe_angular(on.freqs), _theta(pumped), TraceKind.S11)
+    off = _scattering(hz_to_angular(on.freqs), _theta(pumped), TraceKind.S11)
     return ComplexTrace(on.freqs, np.abs(on.values - off) ** 2, TraceKind.POWER)

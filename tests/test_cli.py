@@ -9,6 +9,7 @@ import pytest
 from conftest import merged_grid, reference_params
 
 from cavlink import (
+    ALL_PRESETS,
     HAT_PRESETS,
     SweepSpec,
     SweepTargets,
@@ -20,7 +21,8 @@ from cavlink import (
 )
 from cavlink.cli import run
 from cavlink.tracefile import format_float, read_trace, write_trace
-from cavlink.units import TWO_PI, angular_to_hz
+from cavlink.coupled_modes import PARAM_FIELDS
+from cavlink.units import TWO_PI, angular_to_hz, hz_to_angular
 
 
 def write_ini(tmp_path, text, name="run.ini"):
@@ -109,6 +111,14 @@ class TestSimulate:
         assert "rad/s" not in err
         assert not out.exists()
 
+    def test_coupling_whose_square_overflows(self, tmp_path, capsys):
+        # g is finite in rad/s but g^2 is not: the model refuses its traces
+        cfg = write_ini(tmp_path, grid_section(6.8e9, 7.6e9, 101) + "[params]\ng_hz = 1e160\n")
+        out = tmp_path / "x.csv"
+        assert run(["simulate", "--config", cfg, "--out", str(out), "--preset", "hat270"]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_output_name(self, tmp_path, capsys):
         cfg = write_ini(
             tmp_path, grid_section(6.8e9, 7.6e9, 101) + "[simulate]\noutputs = s12\n"
@@ -158,6 +168,26 @@ class TestSimulate:
         out = str(tmp_path / "no" / "such" / "dir" / "x.csv")
         assert run(["simulate", "--config", cfg, "--out", out,
                     "--preset", "hat270"]) == 3
+
+
+class TestPresets:
+    @pytest.mark.parametrize("name", sorted(ALL_PRESETS))
+    def test_preset_round_trips_through_hz(self, name):
+        # [params] defaults come from the preset's Hz form, read back in rad/s
+        preset = ALL_PRESETS[name]
+        hz = preset.to_hz()
+        for field in PARAM_FIELDS:
+            assert hz_to_angular(hz[f"{field}_hz"]).hex() == getattr(preset, field).hex(), field
+
+    def test_empty_params_section_is_no_section(self, tmp_path, capsys):
+        grid = grid_section(6.8e9, 7.6e9, 801) + "[simulate]\noutputs = s21, s11\n"
+        written = {}
+        for tag, text in (("bare", grid), ("empty", grid + "[params]\n")):
+            cfg = write_ini(tmp_path, text, name=f"{tag}.ini")
+            out = tmp_path / f"{tag}.csv"
+            assert run(["simulate", "--config", cfg, "--out", str(out), "--preset", "hat270"]) == 0
+            written[tag] = [(tmp_path / f"{tag}-{kind}.csv").read_bytes() for kind in ("s21", "s11")]
+        assert written["bare"] == written["empty"]
 
 
 def fit_sections(extra=""):

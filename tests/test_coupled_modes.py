@@ -10,6 +10,7 @@ from cavlink import (
     ComplexTrace,
     FitConfig,
     InvalidInputError,
+    MechanicalMode,
     SWEEPABLE_FIELDS,
     SingularResponseError,
     SweepSpec,
@@ -23,7 +24,9 @@ from cavlink import (
     extract_fwhm,
     hybridized_eigenvalues,
     hz_to_angular,
+    lower_sideband_pump,
     mode_matrix,
+    multi_mode_omit,
     normalized_power_trace,
     resolved_sideband_ratio,
     run_sweep,
@@ -150,8 +153,27 @@ class TestS21:
         assert peak == pytest.approx(expected, rel=1e-12)
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(InvalidInputError):
-            s21(reference_params(), np.array([]))
+        # ComplexTrace refuses every grid that is not 1-D with 2 or more points
+        p = reference_params()
+        mode = MechanicalMode(TWO_PI * 0.66e6, TWO_PI * 10.0)
+        pump = lower_sideband_pump(p, mode)
+        models = (
+            lambda f: s21(p, f),
+            lambda f: s11(p, f),
+            lambda f: multi_mode_omit(p, (mode,), (TWO_PI * 1e3,), pump, f),
+        )
+        for grid in ([], [6.9e9], [[6.9e9, 6.95e9], [7.05e9, 7.1e9]]):
+            for model in models:
+                with pytest.raises(InvalidInputError, match="at least 2 samples"):
+                    model(np.array(grid))
+
+    def test_coupling_whose_square_overflows(self):
+        # g^2 is inf in (rad/s)^2: the traces are not finite and are refused
+        with pytest.warns(ValidityWarning):
+            p = reference_params(g=1e160)
+        for model in (s21, s11):
+            with pytest.raises(InvalidInputError, match="finite"), np.errstate(invalid="ignore"):
+                model(p, np.linspace(6.8e9, 7.6e9, 11))
 
     def test_symmetric_interference_null_is_exact(self):
         # lossless LC exactly on the cavity: perfect destructive interference
@@ -433,19 +455,19 @@ class TestClosedFormMatchesEig:
         assert m.cavity_weight == pytest.approx(weights[cav], rel=1e-12)
 
     def test_solver_broadcasts_like_scalar_calls(self, rng):
-        from cavlink.coupled_modes import _mode_diagonal, _mode_solve
+        from cavlink.coupled_modes import _dressed, _theta
 
         draws = [random_params(rng) for _ in range(8)]
         draws += [reference_params(g=0.0), reference_params(delta_bare_hz=0.0)]
-        diag = np.array([_mode_diagonal(p) for p in draws])
-        g = np.array([p.g for p in draws])
-        batch = _mode_solve(diag[:, 0], diag[:, 1], g)
+        *batch, batch_fifty_fifty = _dressed(*np.array([_theta(p) for p in draws]).T)
         # array loops may round the last bit differently from scalar ops
         eps = np.finfo(float).eps
         for i, p in enumerate(draws):
-            single = _mode_solve(*_mode_diagonal(p), p.g)
+            *single, fifty_fifty = _dressed(*_theta(p))
             for got, want in zip(batch, single):
                 assert abs(got[i] - want) <= 4 * eps * abs(want)
+            assert batch_fifty_fifty[i] == fifty_fifty
+        assert batch_fifty_fifty.tolist() == [False] * 9 + [True]
 
     def test_exact_crossing_is_ambiguous(self):
         # equal bare frequencies with g above |kappa_cav_tot - kappa_lc_bare|/4:

@@ -1,5 +1,7 @@
 """Sweeps, target inversion, and presets."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,21 @@ class TestSweepInputs:
             SweepTargets(sideband_threshold=0.0)
         with pytest.raises(InvalidInputError, match="dissipation"):
             SweepTargets(max_dissipation_fraction=1.5)
+
+    @pytest.mark.parametrize("targets, field", [
+        ({"sideband_threshold": math.nan}, "sideband_threshold"),
+        ({"sideband_threshold": math.inf}, "sideband_threshold"),
+        ({"omega_m_hz": math.nan}, "omega_m_hz"),
+        ({"omega_m_hz": math.inf}, "omega_m_hz"),
+        ({"omega_m_hz": 1e308}, "omega_m_hz"),  # finite in Hz, inf in rad/s
+        ({"coupling_band_hz": (1.5e6, math.inf)}, "coupling_band_hz"),
+        ({"coupling_band_hz": (math.nan, 2e6)}, "coupling_band_hz"),
+        ({"max_dissipation_fraction": math.nan}, "max_dissipation_fraction"),
+    ], ids=["threshold_nan", "threshold_inf", "omega_m_nan", "omega_m_inf",
+            "omega_m_overflow", "band_hi_inf", "band_lo_nan", "fraction_nan"])
+    def test_targets_refuse_non_finite(self, targets, field):
+        with pytest.raises(InvalidInputError, match=field):
+            SweepTargets(**targets)
 
     def test_targets_defaults(self):
         t = SweepTargets()
@@ -131,6 +148,25 @@ class TestFindTargetDetuning:
         with pytest.raises(InvalidInputError, match="positive"):
             find_target_detuning(DESIGN_PRESET, 0.0)
 
+    def test_squares_that_overflow_are_refused(self):
+        # kappa_cav_1 g^2 / target is inf in (rad/s)^2: never inf Hz
+        with pytest.warns(ValidityWarning):
+            strong = HAT_PRESETS["hat270"].replace(g=hz_to_angular(1e160))
+        with pytest.raises(InvalidInputError, match="overflow"):
+            find_target_detuning(strong, 1.5e6)
+        with pytest.raises(InvalidInputError, match="overflow"):
+            find_target_detuning(HAT_PRESETS["hat270"], 1e-300)
+
+    def test_linewidth_whose_square_underflows(self):
+        # (kappa_cav_tot/2)^2 is 0: the zero-detuning maximum is unbounded
+        p = SystemParams(
+            omega_cav=1e10, omega_lc=1e10, kappa_cav_1=1e-170, kappa_cav_2=0.0,
+            kappa_cav_loss=0.0, kappa_lc_bare=0.0, g=1e6,
+        )
+        delta = find_target_detuning(p, 1e-100)
+        rates = effective_rates(p, delta_eff=hz_to_angular(delta))
+        assert angular_to_hz(rates.kappa_eff_1) == pytest.approx(1e-100, rel=1e-12)
+
 
 class TestWithDressedDetuning:
     def test_round_trip(self):
@@ -158,6 +194,25 @@ class TestWithDressedDetuning:
     def test_target_must_be_positive(self):
         with pytest.raises(InvalidInputError, match="positive"):
             with_dressed_detuning(DESIGN_PRESET, -1.0)
+
+    def test_squares_that_overflow(self):
+        hat = HAT_PRESETS["hat270"]
+        with pytest.raises(InvalidInputError, match="overflow"):
+            with_dressed_detuning(hat, 1e160)
+        with pytest.warns(ValidityWarning):
+            strong = hat.replace(g=1e200)
+        # g^2 alone overflows: any finite target is below the splitting 2g
+        with pytest.raises(NoSolutionError, match="minimum"):
+            with_dressed_detuning(strong, 1e9)
+        with pytest.raises(InvalidInputError, match="overflow"):
+            with_dressed_detuning(strong, 1e200)
+
+    def test_target_whose_square_underflows(self):
+        # below the exceptional point every target is reachable; this one
+        # is too small to move omega_cav off omega_lc
+        base = HAT_PRESETS["hat270"].replace(g=0.0)
+        p = with_dressed_detuning(base, 1e-170)
+        assert p.omega_cav == base.omega_lc
 
 
 class TestBareLossForDissipation:
@@ -317,7 +372,6 @@ class TestDressedDetuningInverse:
 
 # -- the array sweep against the scalar library path --------------------------
 
-import math  # noqa: E402
 import warnings  # noqa: E402
 
 from cavlink import (  # noqa: E402
@@ -455,7 +509,8 @@ class TestArraySweepMatchesScalarPath:
         assert "50/50" in result.rows[1].message
 
     def test_ultrastrong_warning_once_per_row(self):
-        # 0.1 omega_lc is 700 MHz; -1 Hz is refused before any warning
-        values = (57e6, 690e6, 710e6, -1.0, 800e6, 2e9)
+        # 0.1 omega_lc is 700 MHz, exactly 2 pi 700e6 rad/s, so the next float
+        # below stays quiet and 700 MHz warns; -1 Hz is refused before any warning
+        values = (57e6, 690e6, math.nextafter(700e6, 0), 700e6, 710e6, -1.0, 800e6, 2e9)
         _, swept = assert_sweep_matches_scalar(HAT_PRESETS["hat270"], "g", values)
-        assert [category for category, _ in swept] == [ValidityWarning] * 3
+        assert [category for category, _ in swept] == [ValidityWarning] * 4
