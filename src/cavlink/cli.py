@@ -10,6 +10,8 @@ written).
 from __future__ import annotations
 
 import argparse
+import difflib
+import math
 import os
 import sys
 import warnings
@@ -20,6 +22,7 @@ from .coupled_modes import (
     PARAM_FIELDS,
     RATE_FIELDS,
     SystemParams,
+    dressed_modes,
     effective_rates,
     s11,
     s21,
@@ -29,7 +32,6 @@ from .electromechanics import (
     MechanicalMode,
     coupling_for_damping,
     electromechanical_damping,
-    lower_sideband_pump,
     multi_mode_omit,
     pumped_lc_params,
     transparency_signal,
@@ -45,10 +47,6 @@ from .errors import (
 )
 from .lineshape import FitConfig, add_noise, extract_fwhm, fit_trace, multi_trace_fit
 from .tracefile import (
-    config_float,
-    config_int,
-    config_list,
-    config_str,
     format_float,
     load_config,
     read_trace,
@@ -56,7 +54,7 @@ from .tracefile import (
     write_text_atomic,
     write_trace,
 )
-from .units import TWO_PI, angular_to_hz, hz_to_angular
+from .units import angular_to_hz, hz_to_angular
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -64,37 +62,144 @@ EXIT_IO = 3
 EXIT_PARSE = 4
 EXIT_NONCONVERGENCE = 5
 _MAX_HZ = angular_to_hz(sys.float_info.max)  # the largest value that is finite in rad/s
+_REQUIRED = object()  # the default of a key that must be given
+
+# One key table per command: section -> key -> (type, rule, default). Types: "rad/s"
+# (written in Hz, read in rad/s), "Hz" (kept in Hz, finite in rad/s), float, int,
+# str, list. An absent key reads as its default, and --preset gives those of
+# [params], which is read into a SystemParams. "mode.N" is every [mode.<integer>].
+_PARAMS = {f"{name}_hz": ("rad/s", "non-negative", 0.0) if name in RATE_FIELDS
+           else ("rad/s", "positive", _REQUIRED) for name in PARAM_FIELDS}
+_GRID = {"f_start_hz": ("Hz", None, _REQUIRED), "f_stop_hz": ("Hz", None, _REQUIRED),
+         "points": (int, None, _REQUIRED)}
+_MODE = {"omega_m_hz": ("rad/s", "positive", _REQUIRED),
+         "gamma_m_hz": ("rad/s", "non-negative", 0.0),
+         "coupling_hz": ("rad/s", "non-negative", 0.0),
+         "gamma_e_hz": ("rad/s", "non-negative", None)}
+_TARGETS = ("omega_m_hz", "sideband_threshold", "max_dissipation_fraction")
+_TABLES = {
+    "simulate": {"grid": _GRID, "params": _PARAMS, "simulate": {
+        "outputs": (list, None, ["s21"]),
+        "noise_amplitude": (float, "non-negative", 0.0),
+    }},
+    "fit": {"params": _PARAMS, "fit": {
+        "free_params": (list, None, _REQUIRED),
+        "trace": (str, None, _REQUIRED),
+        "traces": (list, None, None),
+        "shared": (list, None, []),
+        **{f"bound_{name}_hz": (str, None, None) for name in PARAM_FIELDS},
+        "max_iterations": (int, "positive", FitConfig.max_iterations),
+        "tolerance": (float, "in (0, 1)", FitConfig.tolerance),
+        "monte_carlo_runs": (int, "non-negative", 0),
+        "noise_amplitude": (float, "non-negative", 0.0),
+    }},
+    "sweep": {"params": _PARAMS, "sweep": {
+        "field": (str, None, _REQUIRED),
+        "values_hz": (list, None, None),
+        "start_hz": (float, None, _REQUIRED),
+        "stop_hz": (float, None, _REQUIRED),
+        "points": (int, None, _REQUIRED),
+        "band_lo_hz": (float, None, SweepTargets.coupling_band_hz[0]),
+        "band_hi_hz": (float, None, SweepTargets.coupling_band_hz[1]),
+        **{name: (float, None, getattr(SweepTargets, name)) for name in _TARGETS},
+    }},
+    "omit": {"params": _PARAMS, "grid": _GRID, "omit": {
+        **_MODE,
+        "lc_shift_hz": ("rad/s", None, 0.0),
+        "lc_extra_loss_hz": ("rad/s", "non-negative", 0.0),
+        "pump_offset_hz": ("rad/s", None, 0.0),
+    }, "mode.N": _MODE},
+}
+# Key -> its alternative: a section may give one or neither, not both.
+_EITHER = {"trace": "traces", "start_hz": "values_hz", "stop_hz": "values_hz",
+           "points": "values_hz", "coupling_hz": "gamma_e_hz"}
 
 
-def _params_from_config(cp, preset_name) -> SystemParams:
-    """[params] over the named preset; with no preset, rates default to 0 Hz
-    and the frequencies are required."""
-    if preset_name:
-        defaults = ALL_PRESETS[preset_name].to_hz()
-    else:
-        defaults = {f"{name}_hz": 0.0 for name in RATE_FIELDS}
-    return SystemParams(**{
-        name: _angular(
-            cp, "params", f"{name}_hz", "non-negative" if name in RATE_FIELDS else "positive",
-            defaults.get(f"{name}_hz"),
-        )
-        for name in PARAM_FIELDS
-    })
+def _refused(cp, section, key, why):
+    """The ConfigError for the value under ``key``, quoted as written."""
+    return ConfigError(f"{section}.{key}: {why}, got {cp.get(section, key)}")
 
 
-def _grid_from_config(cp) -> np.ndarray:
-    if not cp.has_section("grid"):
-        raise ConfigError("grid: missing required section")
-    start, stop = (config_float(cp, "grid", key) for key in ("f_start_hz", "f_stop_hz"))
-    for key, value in (("f_start_hz", start), ("f_stop_hz", stop)):
-        if np.isinf(hz_to_angular(value)):
-            raise _refused(cp, "grid", key, f"must be at most {_MAX_HZ:.3g} Hz in magnitude")
-    points = config_int(cp, "grid", "points")
-    if not start < stop:
+def _unknown(where, name, what, known):
+    """The ConfigError for an unknown section or key, naming the closest known one."""
+    (closest,) = difflib.get_close_matches(name, known, n=1, cutoff=0.0)
+    return ConfigError(f"{where}: unknown {what}; did you mean {closest!r}?")
+
+
+def _value(cp, section, key, kind, rule, default):
+    """The value under ``key`` read as ``kind`` and held to ``rule``, or ``default``."""
+    if not cp.has_option(section, key):
+        if default is not _REQUIRED:
+            return default
+        if key in _EITHER and cp.has_option(section, _EITHER[key]):
+            return None
+        raise ConfigError(f"{section}.{key}: missing required value")
+    raw = cp.get(section, key)
+    if kind is str:
+        return raw
+    if kind is list:
+        items = [item.strip() for item in raw.split(",") if item.strip()]
+        if not (items or isinstance(default, list)):
+            raise ConfigError(f"{section}.{key}: must list at least one value")
+        return items or default
+    try:
+        value = int(raw) if kind is int else float(raw)
+    except ValueError:
+        a = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{section}.{key}: {raw!r} is not {a}") from None
+    if kind is not int and not math.isfinite(value):
+        raise ConfigError(f"{section}.{key}: must be finite")
+    if rule and not {"non-negative": value >= 0, "positive": value > 0,
+                     "in (0, 1)": 0 < value < 1}[rule]:
+        raise _refused(cp, section, key, f"must be {rule}")
+    if kind in ("rad/s", "Hz") and math.isinf(hz_to_angular(value)):
+        magnitude = "" if rule else " in magnitude"
+        raise _refused(cp, section, key, f"must be at most {_MAX_HZ:.3g} Hz{magnitude}")
+    return hz_to_angular(value) if kind == "rad/s" else value
+
+
+def _mode_index(section):
+    try:
+        return int(section.split(".", 1)[1])
+    except ValueError:
+        raise ConfigError(
+            f"{section}: extra mode sections are named [mode.N] with an integer N"
+        ) from None
+
+
+def _read(cp, table, preset=None):
+    """``{section: {key: value}}`` for every key of a command's ``table``; a
+    section or key the table lacks is a ConfigError naming the closest known one."""
+    modes = [s for s in cp.sections() if s.startswith("mode.")]
+    for section in cp.sections():
+        rows = table.get("mode.N" if section in modes else section)
+        if rows is None:
+            raise _unknown(section, section, "section", table)
+        for key in cp.options(section):
+            if key not in rows:
+                raise _unknown(f"{section}.{key}", key, "key", rows)
+    values = {}
+    for section in [s for s in table if s != "mode.N"] + sorted(modes, key=_mode_index):
+        rows = table["mode.N" if section in modes else section]
+        if section == "params" and preset:
+            rows = {key: (kind, rule, getattr(ALL_PRESETS[preset], key[:-3]))
+                    for key, (kind, rule, _) in rows.items()}
+        if not cp.has_section(section) and all(row[2] is _REQUIRED for row in rows.values()):
+            raise ConfigError(f"{section}: missing required section")
+        values[section] = {key: _value(cp, section, key, *row) for key, row in rows.items()}
+        for a, b in _EITHER.items():
+            if cp.has_option(section, a) and cp.has_option(section, b):
+                raise ConfigError(f"{section}: give {a} or {b}, not both")
+    values["params"] = SystemParams(**{key[:-3]: v for key, v in values["params"].items()})
+    return values
+
+
+def _grid(grid) -> np.ndarray:
+    if not grid["f_start_hz"] < grid["f_stop_hz"]:
         raise ConfigError("grid.f_stop_hz: must be greater than grid.f_start_hz")
-    if points < 2:
+    if grid["points"] < 2:
         raise ConfigError("grid.points: a frequency grid needs at least 2 points")
-    return np.linspace(start, stop, points)
+    return np.linspace(grid["f_start_hz"], grid["f_stop_hz"], grid["points"])
 
 
 def _suffixed(path, tag):
@@ -102,45 +207,25 @@ def _suffixed(path, tag):
     return f"{base}-{tag}{ext}"
 
 
-def _refused(cp, section, key, why):
-    """The ConfigError for the value under ``key``, quoted as written."""
-    return ConfigError(f"{section}.{key}: {why}, got {config_str(cp, section, key)}")
-
-
-def _checked(read, cp, section, key, rule, default=None):
-    """``read(cp, section, key, default)``, refused unless it is ``rule``
-    ("non-negative", "positive" or "in (0, 1)")."""
-    value = read(cp, section, key, default)
-    if not {"non-negative": value >= 0, "positive": value > 0, "in (0, 1)": 0 < value < 1}[rule]:
-        raise _refused(cp, section, key, f"must be {rule}")
-    return value
-
-
-def _angular(cp, section, key, rule, default=None):
-    """The ``_checked`` Hz value under ``key`` in rad/s, refused where that overflows."""
-    value = hz_to_angular(_checked(config_float, cp, section, key, rule, default))
-    if np.isinf(value):
-        raise _refused(cp, section, key, f"must be at most {_MAX_HZ:.3g} Hz")
-    return value
-
-
 def _cmd_simulate(cp, out, seed, preset_name):
     presets = list(HAT_PRESETS) if preset_name == "all" else [preset_name]
-    grid = _grid_from_config(cp)
+    configs = [_read(cp, _TABLES["simulate"], pname) for pname in presets]
+    grid = _grid(configs[0]["grid"])
     generators = {"s21": s21, "s11": s11}
-    outputs = config_list(cp, "simulate", "outputs", default=["s21"])
+    outputs = configs[0]["simulate"]["outputs"]
     for i, name in enumerate(outputs):
         if name not in generators:
             raise ConfigError(f"simulate.outputs: unknown trace {name!r}")
         if name in outputs[:i]:
             raise ConfigError(f"simulate.outputs: trace {name!r} is listed twice")
-    noise = _checked(config_float, cp, "simulate", "noise_amplitude", "non-negative", 0.0)
+    noise = configs[0]["simulate"]["noise_amplitude"]
+    if any(math.isinf(values["params"].g * values["params"].g) for values in configs):
+        raise _refused(cp, "params", "g_hz", "must keep g^2 finite in (rad/s)^2")
 
     written = []
-    for i, pname in enumerate(presets):
-        params = _params_from_config(cp, pname)
+    for i, (pname, values) in enumerate(zip(presets, configs)):
         for kind in outputs:
-            trace = generators[kind](params, grid)
+            trace = generators[kind](values["params"], grid)
             if noise > 0.0:
                 trace = add_noise(trace, noise, seed + i)
             path = out
@@ -155,29 +240,27 @@ def _cmd_simulate(cp, out, seed, preset_name):
     return EXIT_OK
 
 
-def _fit_config_from(cp, guess: SystemParams) -> FitConfig:
-    free = config_list(cp, "fit", "free_params")
+def _fit_config_from(fit, guess: SystemParams) -> FitConfig:
     bounds = {}
-    for name in free:
+    for name in PARAM_FIELDS:
         key = f"bound_{name}_hz"
-        if cp.has_option("fit", key):
-            pieces = config_str(cp, "fit", key).split(",")
-            if len(pieces) != 2:
-                raise ConfigError(f"fit.{key}: expected 'lo,hi'")
-            try:
-                bounds[name] = tuple(hz_to_angular(float(p)) for p in pieces)
-            except ValueError:
-                raise ConfigError(f"fit.{key}: bounds must be numbers") from None
+        if fit[key] is None:
+            continue
+        if name not in fit["free_params"]:
+            raise ConfigError(f"fit.{key}: {name} is not in fit.free_params")
+        pieces = fit[key].split(",")
+        if len(pieces) != 2:
+            raise ConfigError(f"fit.{key}: expected 'lo,hi'")
+        try:
+            bounds[name] = tuple(hz_to_angular(float(p)) for p in pieces)
+        except ValueError:
+            raise ConfigError(f"fit.{key}: bounds must be numbers") from None
     return FitConfig(
-        free_params=tuple(free),
+        free_params=tuple(fit["free_params"]),
         initial_guess=guess,
         bounds=bounds,
-        max_iterations=_checked(
-            config_int, cp, "fit", "max_iterations", "positive", FitConfig.max_iterations
-        ),
-        tolerance=_checked(
-            config_float, cp, "fit", "tolerance", "in (0, 1)", FitConfig.tolerance
-        ),
+        max_iterations=fit["max_iterations"],
+        tolerance=fit["tolerance"],
     )
 
 
@@ -201,20 +284,17 @@ def _fit_report(result, config):
 
 
 def _cmd_fit(cp, out, seed, preset_name):
-    config = _fit_config_from(cp, _params_from_config(cp, preset_name))
-
-    paths = config_list(cp, "fit", "traces", default=[])
-    if not paths:
-        paths = [config_str(cp, "fit", "trace")]
-    runs = _checked(config_int, cp, "fit", "monte_carlo_runs", "non-negative", 0)
-    noise = _checked(config_float, cp, "fit", "noise_amplitude", "non-negative", 0.0)
+    values = _read(cp, _TABLES["fit"], preset_name)
+    fit = values["fit"]
+    config = _fit_config_from(fit, values["params"])
+    paths = fit["traces"] or [fit["trace"]]
+    runs, noise = fit["monte_carlo_runs"], fit["noise_amplitude"]
 
     if len(paths) > 1:
-        shared = config_list(cp, "fit", "shared", default=[])
-        if not shared:
+        if not fit["shared"]:
             raise ConfigError("fit.shared: required for multi-trace fits")
         traces = [read_trace(p) for p in paths]
-        multi = multi_trace_fit(traces, tuple(shared), config)
+        multi = multi_trace_fit(traces, tuple(fit["shared"]), config)
         report = {
             "combined": _fit_report(multi.combined, config),
             "per_trace": [_fit_report(r, config) for r in multi.per_trace],
@@ -258,19 +338,15 @@ def _cmd_fit(cp, out, seed, preset_name):
     return EXIT_OK if result.converged else EXIT_NONCONVERGENCE
 
 
-def _sweep_values(cp) -> tuple:
-    if cp.has_option("sweep", "values_hz"):
-        items = config_list(cp, "sweep", "values_hz")
+def _sweep_values(sweep) -> tuple:
+    if sweep["values_hz"] is not None:
         try:
-            return tuple(float(v) for v in items)
+            return tuple(float(v) for v in sweep["values_hz"])
         except ValueError:
             raise ConfigError("sweep.values_hz: entries must be numbers") from None
-    start = config_float(cp, "sweep", "start_hz")
-    stop = config_float(cp, "sweep", "stop_hz")
-    points = config_int(cp, "sweep", "points")
-    if points < 1:
+    if sweep["points"] < 1:
         raise ConfigError("sweep.points: must be at least 1")
-    return tuple(np.linspace(start, stop, points))
+    return tuple(np.linspace(sweep["start_hz"], sweep["stop_hz"], sweep["points"]))
 
 
 _SWEEP_COLUMNS = (
@@ -292,21 +368,6 @@ _SWEEP_COLUMNS = (
 )
 
 
-def _targets_from_config(cp) -> SweepTargets:
-    """[sweep] target keys; each absent key keeps its SweepTargets default."""
-    band_lo, band_hi = SweepTargets.coupling_band_hz
-    return SweepTargets(
-        coupling_band_hz=(
-            config_float(cp, "sweep", "band_lo_hz", default=band_lo),
-            config_float(cp, "sweep", "band_hi_hz", default=band_hi),
-        ),
-        **{
-            name: config_float(cp, "sweep", name, default=getattr(SweepTargets, name))
-            for name in ("omega_m_hz", "sideband_threshold", "max_dissipation_fraction")
-        },
-    )
-
-
 def _cell(value) -> str:
     """One sweep CSV cell: numbers exact, flags as 0/1, absent values blank."""
     if value is None:
@@ -317,14 +378,18 @@ def _cell(value) -> str:
 
 
 def _cmd_sweep(cp, out, preset_name):
-    field = config_str(cp, "sweep", "field")
+    values = _read(cp, _TABLES["sweep"], preset_name)
+    sweep = values["sweep"]
     spec = SweepSpec(
-        base_params=_params_from_config(cp, preset_name),
-        swept_field=field,
-        values_hz=_sweep_values(cp),
-        targets=_targets_from_config(cp),
+        base_params=values["params"],
+        swept_field=sweep["field"],
+        values_hz=_sweep_values(sweep),
+        targets=SweepTargets(
+            coupling_band_hz=(sweep["band_lo_hz"], sweep["band_hi_hz"]),
+            **{name: sweep[name] for name in _TARGETS},
+        ),
     )
-    lines = ["# cavlink sweep", f"# field = {field}", ",".join(_SWEEP_COLUMNS)]
+    lines = ["# cavlink sweep", f"# field = {sweep['field']}", ",".join(_SWEEP_COLUMNS)]
     for row in run_sweep(spec).rows:
         named = {"value_hz": row.value_hz, "valid": row.valid, "message": row.message}
         if row.valid:
@@ -339,67 +404,38 @@ def _cmd_sweep(cp, out, preset_name):
     return EXIT_OK
 
 
-def _mode_index(section):
-    try:
-        return int(section.split(".", 1)[1])
-    except ValueError:
-        raise ConfigError(
-            f"{section}: extra mode sections are named [mode.N] with an integer N"
-        ) from None
-
-
-def _modes_from_config(cp):
-    """[omit] holds the first mode; [mode.2], [mode.3], ... add more. Each
-    entry is ``(section, mode, key, value)``: the coupling_hz or gamma_e_hz
-    key given and its value in rad/s, or ``(None, 0.0)`` where neither is."""
-    sections = ["omit"]
-    sections.extend(
-        sorted((s for s in cp.sections() if s.startswith("mode.")), key=_mode_index)
-    )
-    entries = []
-    for section in sections:
-        mode = MechanicalMode(
-            omega_m=_angular(cp, section, "omega_m_hz", "positive"),
-            gamma_m=_angular(cp, section, "gamma_m_hz", "non-negative", 0.0),
-        )
-        given = [
-            (key, _angular(cp, section, key, "non-negative"))
-            for key in ("coupling_hz", "gamma_e_hz")
-            if cp.has_option(section, key)
-        ]
-        if len(given) > 1:
-            raise ConfigError(
-                f"{section}: give coupling_hz or gamma_e_hz, not both"
-            )
-        key, value = given[0] if given else (None, 0.0)
-        entries.append((section, mode, key, value))
-    return entries
-
-
 def _cmd_omit(cp, out, preset_name):
-    params = _params_from_config(cp, preset_name)
-    grid = _grid_from_config(cp)
-    lc_shift = hz_to_angular(config_float(cp, "omit", "lc_shift_hz", default=0.0))
-    if not 0.0 < params.omega_lc + lc_shift < np.inf:
+    values = _read(cp, _TABLES["omit"], preset_name)
+    params, grid, omit = values["params"], _grid(values["grid"]), values["omit"]
+    if not 0.0 < params.omega_lc + omit["lc_shift_hz"] < np.inf:
         raise _refused(cp, "omit", "lc_shift_hz", "must keep the LC frequency positive and finite")
-    extra_loss = _angular(cp, "omit", "lc_extra_loss_hz", "non-negative", 0.0)
-    pumped = pumped_lc_params(params, lc_shift=lc_shift, lc_extra_loss=extra_loss)
-    pump_offset = hz_to_angular(config_float(cp, "omit", "pump_offset_hz", default=0.0))
-    kappa_lc_tot = effective_rates(pumped).kappa_lc_tot
+    pumped = pumped_lc_params(
+        params, lc_shift=omit["lc_shift_hz"], lc_extra_loss=omit["lc_extra_loss_hz"]
+    )
+    dressed = dressed_modes(pumped)
+    kappa_lc_tot = effective_rates(pumped, delta_eff=dressed.delta_eff).kappa_lc_tot
 
     modes, couplings, gamma_es = [], [], []
-    for section, mode, key, value in _modes_from_config(cp):
-        coupling = coupling_for_damping(value, kappa_lc_tot) if key == "gamma_e_hz" else value
+    # [omit] holds the first mode; [mode.2], [mode.3], ... add more, in index order.
+    for section in ["omit", *(s for s in values if s.startswith("mode."))]:
+        entry = values[section]
+        key = "coupling_hz" if entry["gamma_e_hz"] is None else "gamma_e_hz"
+        coupling = entry[key]
+        if key == "gamma_e_hz":
+            coupling = coupling_for_damping(coupling, kappa_lc_tot)
         finite = np.isfinite(coupling)
         gamma_e = electromechanical_damping(coupling, kappa_lc_tot) if finite else np.inf
         if np.isinf(gamma_e):
-            raise _refused(cp, section, key, "must keep the coupling and its damping finite")
-        modes.append(mode)
+            why = "must keep the coupling and its damping finite"
+            if key == "gamma_e_hz" and omit["lc_extra_loss_hz"] > 0.0:  # it widens kappa_lc_tot
+                why += f" with omit.lc_extra_loss_hz = {cp.get('omit', 'lc_extra_loss_hz')}"
+            raise _refused(cp, section, key, why)
+        modes.append(MechanicalMode(omega_m=entry["omega_m_hz"], gamma_m=entry["gamma_m_hz"]))
         couplings.append(coupling)
         gamma_es.append(gamma_e)
 
-    omega_pump = lower_sideband_pump(pumped, modes[0]) + pump_offset
-    if not (omega_pump > 0.0 and pump_offset < modes[0].omega_m):
+    omega_pump = dressed.omega_lc - modes[0].omega_m + omit["pump_offset_hz"]
+    if not (omega_pump > 0.0 and omit["pump_offset_hz"] < modes[0].omega_m):
         raise _refused(cp, "omit", "pump_offset_hz", "must keep the pump red-detuned, above 0 Hz")
     trace = multi_mode_omit(pumped, modes, couplings, omega_pump, grid)
     write_trace(out, trace)

@@ -195,41 +195,3 @@ def load_config(path) -> configparser.ConfigParser:
         raise ConfigError(f"{path}: {exc}") from None
     return parser
 
-
-def config_float(cp, section, key, default=None):
-    raw = config_str(cp, section, key, default)
-    if raw is default:  # the key is absent
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"{section}.{key}: {raw!r} is not a number") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{section}.{key}: must be finite")
-    return value
-
-
-def config_int(cp, section, key, default=None):
-    raw = config_str(cp, section, key, default)
-    if raw is default:  # the key is absent
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{section}.{key}: {raw!r} is not an integer") from None
-
-
-def config_str(cp, section, key, default=None):
-    if not cp.has_option(section, key):
-        if default is not None:
-            return default
-        raise ConfigError(f"{section}.{key}: missing required value")
-    return cp.get(section, key).strip()
-
-
-def config_list(cp, section, key, default=None):
-    raw = config_str(cp, section, key, default="" if default is not None else None)
-    items = [item.strip() for item in raw.split(",") if item.strip()]
-    if not items and default is None:
-        raise ConfigError(f"{section}.{key}: must list at least one value")
-    return items or list(default)

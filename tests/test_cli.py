@@ -14,6 +14,7 @@ from cavlink import (
     SweepSpec,
     SweepTargets,
     cli,
+    coupled_modes,
     dressed_modes,
     electromechanics,
     run_sweep,
@@ -116,7 +117,8 @@ class TestSimulate:
         cfg = write_ini(tmp_path, grid_section(6.8e9, 7.6e9, 101) + "[params]\ng_hz = 1e160\n")
         out = tmp_path / "x.csv"
         assert run(["simulate", "--config", cfg, "--out", str(out), "--preset", "hat270"]) == 2
-        assert "finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "params.g_hz: " in err and "finite" in err and "got 1e160" in err
         assert not out.exists()
 
     def test_bad_output_name(self, tmp_path, capsys):
@@ -526,9 +528,14 @@ class TestOmit:
         ("omega_m_hz = 0.66e6\n[mode.2]\nomega_m_hz = 1.1e6\ngamma_e_hz = 1e307\n"
          "[mode.3]\nomega_m_hz = 1.5e6\n",
          "mode.2.gamma_e_hz: must keep the coupling and its damping finite, got 1e307"),
+        # gamma_e is modest, but the extra loss makes gamma_e * kappa_lc_tot overflow
+        ("omega_m_hz = 0.66e6\nlc_extra_loss_hz = 2.8e307\n",
+         "omit.gamma_e_hz: must keep the coupling and its damping finite with "
+         "omit.lc_extra_loss_hz = 2.8e307, got 900"),
     ], ids=["omega_m", "omega_m_zero", "gamma_m", "lc_extra_loss", "mode2_omega_m",
             "mode2_gamma_m", "omega_m_overflow", "lc_shift", "pump_offset",
-            "damping_overflow", "mode2_damping_overflow", "mode2_coupling_overflow"])
+            "damping_overflow", "mode2_damping_overflow", "mode2_coupling_overflow",
+            "extra_loss_coupling_overflow"])
     def test_mode_and_pump_values_named_in_hz(self, tmp_path, capsys, mode_lines, message):
         cfg = self.omit_ini(tmp_path, mode_lines + "gamma_e_hz = 900\n")
         out = tmp_path / "o.csv"
@@ -598,6 +605,24 @@ class TestOmit:
                     "--preset", "hat270"]) == 0
         assert len(calls) == 1
 
+    def test_pumped_modes_solved_twice_per_run(self, tmp_path, capsys, monkeypatch):
+        # once in the command (rates and pump) and once in multi_mode_omit
+        calls = []
+        solve = coupled_modes.dressed_modes
+
+        def counting(params):
+            calls.append(params)
+            return solve(params)
+
+        for module in (coupled_modes, electromechanics, cli):
+            monkeypatch.setattr(module, "dressed_modes", counting, raising=False)
+        cfg = self.omit_ini(
+            tmp_path, "omega_m_hz = 0.66e6\ngamma_m_hz = 10\ngamma_e_hz = 900\n"
+        )
+        assert run(["omit", "--config", cfg, "--out", str(tmp_path / "o.csv"),
+                    "--preset", "hat270"]) == 0
+        assert len(calls) == 2
+
     def test_blue_pump_offset_rejected(self, tmp_path, capsys):
         cfg = self.omit_ini(
             tmp_path,
@@ -618,6 +643,83 @@ class TestOmit:
         assert (tmp_path / "oa.report.json").read_bytes() == (
             tmp_path / "ob.report.json"
         ).read_bytes()
+
+
+class TestConfigKeys:
+    """Every command reads its config against one key table."""
+
+    def configs(self, tmp_path):
+        hat = HAT_PRESETS["hat270"]
+        write_trace(tmp_path / "data.csv", s21(hat, merged_grid(hat)))
+        return {
+            "simulate": grid_section(6.8e9, 7.6e9, 11),
+            "fit": f"[fit]\nfree_params = g\ntrace = {tmp_path / 'data.csv'}\n",
+            "sweep": "[sweep]\nfield = g\nstart_hz = 10e6\nstop_hz = 90e6\npoints = 5\n",
+            "omit": omit_grid_for("hat270", points=101) + "[omit]\nomega_m_hz = 0.66e6\n",
+        }
+
+    def run_command(self, tmp_path, command, text):
+        cfg = write_ini(tmp_path, text, name="keys.ini")
+        out = tmp_path / "keys.out"
+        return run([command, "--config", cfg, "--out", str(out), "--preset", "hat270"]), out
+
+    @pytest.mark.parametrize("command", ["simulate", "fit", "sweep", "omit"])
+    def test_known_keys_run(self, tmp_path, capsys, command):
+        assert self.run_command(tmp_path, command, self.configs(tmp_path)[command])[0] == 0
+
+    @pytest.mark.parametrize("command, typo, message", [
+        pytest.param(command, typo, message, id=f"{command}-{name}")
+        for command, name, typo, message in [
+            ("simulate", "ponits", "[grid]\nponits = 5\n",
+             "grid.ponits: unknown key; did you mean 'points'?"),
+            ("omit", "ponits", "[grid]\nponits = 5\n",
+             "grid.ponits: unknown key; did you mean 'points'?"),
+            ("sweep", "ponits", "[sweep]\nponits = 5\n",
+             "sweep.ponits: unknown key; did you mean 'points'?"),
+            ("fit", "max_iteration", "[fit]\nmax_iteration = 5\n",
+             "fit.max_iteration: unknown key; did you mean 'max_iterations'?"),
+            *[(command, "g_hzz", "[params]\ng_hzz = 57e6\n",
+               "params.g_hzz: unknown key; did you mean 'g_hz'?")
+              for command in ("simulate", "fit", "sweep", "omit")],
+            # with no close section the nearest of the command's own is named
+            *[(command, "simulat", "[simulat]\n",
+               f"simulat: unknown section; did you mean '{command}'?")
+              for command in ("simulate", "fit", "sweep", "omit")],
+            ("simulate", "mode_section", "[mode.2]\nomega_m_hz = 1e6\n",
+             "mode.2: unknown section"),
+            ("omit", "mode_pump_key", "[mode.2]\nomega_m_hz = 1e6\npump_offset_hz = 0\n",
+             "mode.2.pump_offset_hz: unknown key; did you mean"),
+        ]
+    ])
+    def test_unknown_names_refused(self, tmp_path, capsys, command, typo, message):
+        base = self.configs(tmp_path)[command]
+        header, _ = typo.split("\n", 1)
+        text = base.replace(header + "\n", typo, 1) if header in base else base + typo
+        rc, out = self.run_command(tmp_path, command, text)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert message in captured.err
+        assert captured.out == "" and not out.exists()
+        assert list(tmp_path.glob("keys*")) == [tmp_path / "keys.ini"]
+
+    @pytest.mark.parametrize("command, text, keys", [
+        ("sweep", "field = g\nvalues_hz = 20e6\nstart_hz = 10e6\n", ("values_hz", "start_hz")),
+        ("sweep", "field = g\nvalues_hz = 20e6\nstop_hz = 90e6\n", ("values_hz", "stop_hz")),
+        ("sweep", "field = g\nvalues_hz = 20e6\npoints = 5\n", ("values_hz", "points")),
+        ("fit", "free_params = g\ntrace = {data}\ntraces = {data}, {data}\nshared = g\n",
+         ("trace", "traces")),
+        ("fit", "free_params = g\ntrace = {data}\nbound_omega_cav_hz = 7e9, 8e9\n",
+         ("bound_omega_cav_hz", "free_params")),
+    ], ids=["values_and_start", "values_and_stop", "values_and_points", "trace_and_traces",
+            "bound_of_fixed_param"])
+    def test_keys_a_run_would_drop_refused(self, tmp_path, capsys, command, text, keys):
+        self.configs(tmp_path)  # writes data.csv
+        text = f"[{command}]\n" + text.format(data=tmp_path / "data.csv")
+        rc, out = self.run_command(tmp_path, command, text)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert all(key in err for key in keys), err
+        assert not out.exists()
 
 
 class TestEntryPoint:

@@ -2,18 +2,23 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cavlink import ComplexTrace, ConfigError, TraceKind, TraceParseError
+from cavlink import (
+    ComplexTrace,
+    ConfigError,
+    FitConfig,
+    SweepTargets,
+    TraceKind,
+    TraceParseError,
+)
+from cavlink.cli import _TABLES, _read
 from cavlink.tracefile import (
-    config_float,
-    config_int,
-    config_list,
-    config_str,
     format_float,
     load_config,
     read_trace,
@@ -21,6 +26,7 @@ from cavlink.tracefile import (
     write_text_atomic,
     write_trace,
 )
+from cavlink.units import hz_to_angular
 
 
 def sample_trace(kind=TraceKind.S21, n=7):
@@ -216,31 +222,54 @@ class TestAtomicWrites:
 
 
 class TestConfig:
+    """``load_config`` and the CLI's key-table walker ``cli._read``."""
+
+    GRID = "[grid]\nf_start_hz = 1\nf_stop_hz = 2\n"
+
     def write(self, tmp_path, text):
         path = tmp_path / "run.ini"
         path.write_text(text)
         return path
 
+    def read(self, tmp_path, command, text, preset="hat270"):
+        return _read(load_config(self.write(tmp_path, text)), _TABLES[command], preset)
+
     def test_inline_comments(self, tmp_path):
-        cp = load_config(self.write(tmp_path, "[params]\ng_hz = 57e6  # published\n"))
-        assert config_float(cp, "params", "g_hz") == 57e6
+        text = "[params]\ng_hz = 57e6  # published\n[sweep]\nfield = g\nvalues_hz = 1 ; one\n"
+        values = self.read(tmp_path, "sweep", text)
+        assert values["params"].g == hz_to_angular(57e6)
+        assert values["sweep"]["values_hz"] == ["1"]
 
     def test_readme_config_blocks_load_verbatim(self, tmp_path):
         # The README's examples use `;` comments, both on their own and after
-        # values; every block must load with the comments stripped.
-        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-        with open(readme) as handle:
-            blocks = handle.read().split("```ini\n")[1:]
+        # values; every block must load with the comments stripped. They are
+        # also the key reference: each key they show is in its command's table
+        # (the shared [params] block in every table, [grid] in simulate's and
+        # omit's), each block reads without error, and the README names every
+        # table key.
+        readme_path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme_path) as handle:
+            readme = handle.read()
+        blocks = [b.split("```")[0] for b in readme.split("```ini\n")[1:]]
         assert len(blocks) == 5
         for block in blocks:
-            cp = load_config(self.write(tmp_path, block.split("```")[0]))
+            cp = load_config(self.write(tmp_path, block))
             for section in cp.sections():
                 for key, value in cp.items(section):
                     assert ";" not in value, f"{section}.{key} = {value!r}"
-        shared = load_config(self.write(tmp_path, blocks[0].split("```")[0]))
-        assert config_float(shared, "params", "omega_cav_hz") == 7.52e9
-        assert config_float(shared, "params", "g_hz") == 57e6
-        assert config_int(shared, "grid", "points") == 801
+        shared, params = blocks[0], blocks[0].split("[grid]")[0]
+        values = self.read(tmp_path, "simulate", shared + blocks[1], preset=None)
+        assert values["params"].omega_cav == hz_to_angular(7.52e9)
+        assert values["params"].g == hz_to_angular(57e6)
+        assert values["grid"]["points"] == 801
+        for command, block in zip(("simulate", "fit", "sweep", "omit"), blocks[1:]):
+            given = shared if command in ("simulate", "omit") else params
+            self.read(tmp_path, command, given + block, preset=None)
+        for command, table in _TABLES.items():
+            for section, rows in table.items():
+                for key in rows:
+                    named = "bound_<p>_hz" if key.startswith("bound_") else key
+                    assert re.search(rf"\b{re.escape(named)}\b", readme), (command, key)
 
     def test_syntax_error(self, tmp_path):
         path = self.write(tmp_path, "not an ini file at all\n")
@@ -252,38 +281,37 @@ class TestConfig:
             load_config(tmp_path / "absent.ini")
 
     def test_float_required_and_invalid(self, tmp_path):
-        cp = load_config(self.write(tmp_path, "[grid]\npoints = many\n"))
         with pytest.raises(ConfigError, match="grid.f_start_hz: missing"):
-            config_float(cp, "grid", "f_start_hz")
+            self.read(tmp_path, "simulate", "[grid]\npoints = 5\n")
         with pytest.raises(ConfigError, match="not a number"):
-            config_float(cp, "grid", "points")
-        assert config_float(cp, "grid", "f_start_hz", default=1.0) == 1.0
+            self.read(tmp_path, "simulate", "[grid]\nf_start_hz = many\n")
+        values = self.read(tmp_path, "sweep", "[sweep]\nfield = g\nvalues_hz = 1\n")
+        assert values["sweep"]["band_lo_hz"] == SweepTargets.coupling_band_hz[0]
 
     def test_float_must_be_finite(self, tmp_path):
-        cp = load_config(self.write(tmp_path, "[grid]\nf_start_hz = nan\n"))
-        with pytest.raises(ConfigError, match="finite"):
-            config_float(cp, "grid", "f_start_hz")
+        with pytest.raises(ConfigError, match="grid.f_start_hz: must be finite"):
+            self.read(tmp_path, "simulate", "[grid]\nf_start_hz = nan\n")
 
     def test_int_parsing(self, tmp_path):
-        cp = load_config(self.write(tmp_path, "[grid]\npoints = 4.5\n"))
-        with pytest.raises(ConfigError, match="not an integer"):
-            config_int(cp, "grid", "points")
-        assert config_int(cp, "grid", "n", default=3) == 3
+        with pytest.raises(ConfigError, match="grid.points: '4.5' is not an integer"):
+            self.read(tmp_path, "simulate", self.GRID + "points = 4.5\n")
+        values = self.read(tmp_path, "fit", "[fit]\nfree_params = g\ntrace = a.csv\n")
+        assert values["fit"]["max_iterations"] == FitConfig.max_iterations
 
     def test_str_and_list(self, tmp_path):
-        cp = load_config(
-            self.write(tmp_path, "[fit]\nfree_params = g , omega_cav,kappa_lc_bare\n")
+        values = self.read(
+            tmp_path, "fit", "[fit]\nfree_params = g , omega_cav,kappa_lc_bare\ntrace = a.csv\n"
         )
-        assert config_list(cp, "fit", "free_params") == [
-            "g", "omega_cav", "kappa_lc_bare",
-        ]
-        assert config_str(cp, "fit", "mode", default="single") == "single"
+        assert values["fit"]["free_params"] == ["g", "omega_cav", "kappa_lc_bare"]
+        assert values["fit"]["trace"] == "a.csv"
+        assert values["fit"]["shared"] == []
         with pytest.raises(ConfigError, match="fit.trace: missing"):
-            config_str(cp, "fit", "trace")
-        assert config_list(cp, "fit", "outputs", default=("s21",)) == ["s21"]
+            self.read(tmp_path, "fit", "[fit]\nfree_params = g\n")
+        values = self.read(tmp_path, "simulate", self.GRID + "points = 3\n")
+        assert values["simulate"]["outputs"] == ["s21"]
 
     def test_empty_required_list(self, tmp_path):
-        cp = load_config(self.write(tmp_path, "[fit]\nfree_params =\ntraces = ,\n"))
         with pytest.raises(ConfigError, match="fit.free_params: must list"):
-            config_list(cp, "fit", "free_params")
-        assert config_list(cp, "fit", "traces", default=[]) == []
+            self.read(tmp_path, "fit", "[fit]\nfree_params =\ntrace = a.csv\n")
+        text = self.GRID + "points = 3\n[simulate]\noutputs = ,\n"
+        assert self.read(tmp_path, "simulate", text)["simulate"]["outputs"] == ["s21"]
