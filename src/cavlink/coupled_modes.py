@@ -16,6 +16,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -386,6 +387,29 @@ def _dressed(omega_cav, omega_lc, k1, k2, k_loss, k_lc, g):
     )
     # the LC-like branch carries the complementary weight 1 - weight
     return lam_cav, lam_lc, weight, weight - (1.0 - weight) < 1e-9
+
+
+def _bare_detuning(splitting, params):
+    """The bare detuning Delta = omega_cav - omega_lc at which the dressed
+    modes lie ``splitting`` = T apart (rad/s, same sign), for the rates and g
+    of ``params``. T is twice the real part of sqrt(((a - d)/2)^2 + g^2) for
+    :func:`mode_matrix`, so exactly Delta^2 = (T^2/4 + dk^2/16 - g^2) /
+    (1/4 + dk^2 / (16 T^2)), with dk = kappa_cav_tot - kappa_lc_bare. The modes
+    repel: |T| <= 2 sqrt((g - |dk|/4)(g + |dk|/4)) gives NaN, an overflowing
+    numerator inf."""
+    dk, g = params.kappa_cav_tot - params.kappa_lc_bare, params.g
+    # g^2 - dk^2/16 as a product: near the exceptional point (g ~ |dk|/4) the
+    # expanded form cancels to rounding noise of g^2 and misjudges the edge
+    quarter = abs(dk) / 4.0
+    square = splitting * splitting  # a product, as in _rate_budget: ** can raise
+    numerator = 0.25 * square - (g - quarter) * (g + quarter)
+    if not numerator < math.inf:
+        return math.copysign(math.inf, splitting)
+    if not numerator > 0.0:
+        return math.nan
+    # a splitting whose square underflows leaves the bare detuning at 0
+    spread = dk * dk / (16.0 * square) if square > 0.0 else math.inf
+    return math.copysign(math.sqrt(numerator / (0.25 + spread)), splitting)
 
 
 def hybridized_eigenvalues(params: SystemParams):

@@ -23,6 +23,7 @@ from .coupled_modes import (
     resolved_sideband_ratio,
     DEFAULT_SIDEBAND_THRESHOLD,
     _PARAM_FLOOR,
+    _bare_detuning,
     _dressed,
     _rate_budget,
     _theta,
@@ -224,38 +225,21 @@ def find_target_detuning(base: SystemParams, target_keff1_hz: float) -> float:
 
 def with_dressed_detuning(base: SystemParams, delta_eff_hz: float) -> SystemParams:
     """Return a copy of ``base`` with omega_cav set so the dressed detuning
-    (cavity minus LC dressed frequency) equals ``delta_eff_hz``.
-
-    The dressed detuning T is twice the real part of the eigenvalue
-    discriminant sqrt(((a - d)/2)^2 + g^2) of the mode matrix, which inverts
-    exactly for the bare detuning Delta = omega_cav - omega_lc:
-
-        Delta^2 = (T^2/4 + dk^2/16 - g^2) / (1/4 + dk^2 / (16 T^2)),
-
-    with dk = kappa_cav_tot - kappa_lc_bare. The dressed detuning exceeds the
-    bare one by the repulsion of the two modes, so targets at or below the
-    minimum splitting 2 sqrt((g - |dk|/4)(g + |dk|/4)) are unreachable and
-    raise NoSolutionError; InvalidInputError marks squares that overflow.
+    (cavity minus LC dressed frequency) equals ``delta_eff_hz``, by the
+    exact inverse of the splitting (``coupled_modes._bare_detuning``).
+    The modes repel, so targets at or below the minimum splitting raise
+    NoSolutionError; InvalidInputError marks squares that overflow.
     """
     if not (delta_eff_hz > 0.0 and math.isfinite(delta_eff_hz)):
         raise InvalidInputError("delta_eff_hz must be positive and finite")
-    target = hz_to_angular(delta_eff_hz)
-    dk = base.kappa_cav_tot - base.kappa_lc_bare
-    # g^2 - dk^2/16 as a product: near the exceptional point (g ~ |dk|/4) the
-    # expanded form cancels to rounding noise of g^2 and misjudges the edge
-    quarter = abs(dk) / 4.0
-    square = target * target  # a product, as in _rate_budget: ** can raise
-    numerator = 0.25 * square - (base.g - quarter) * (base.g + quarter)
-    if numerator <= 0.0:
+    delta_bare = _bare_detuning(hz_to_angular(delta_eff_hz), base)
+    if math.isnan(delta_bare):
         raise NoSolutionError(
             f"dressed detuning of {delta_eff_hz} Hz is below the minimum "
             "mode splitting for these parameters"
         )
-    if not numerator < math.inf:
+    if delta_bare == math.inf:
         raise InvalidInputError(f"dressed detuning of {delta_eff_hz} Hz overflows in rad/s")
-    # a target whose square underflows leaves omega_cav on omega_lc
-    spread = dk * dk / (16.0 * square) if square > 0.0 else math.inf
-    delta_bare = math.sqrt(numerator / (0.25 + spread))
     return base.replace(omega_cav=base.omega_lc + delta_bare)
 
 

@@ -4,23 +4,26 @@ The narrow LC feature rides on the broad cavity lineshape, so width
 extraction subtracts a linear baseline across the analysis window before
 locating half-maximum crossings. Fitting is a damped least-squares descent
 on the coupled-mode model; complex traces are fit in (re, im), power traces
-are fit after scaling model and data to unit maximum inside the window.
+with the model's scale profiled out (variable projection).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coupled_modes import (
+    FREQUENCY_FIELDS,
     PARAM_FIELDS,
     ComplexTrace,
     SystemParams,
     TraceKind,
     _PARAM_FLOOR,
+    _bare_detuning,
     _scattering,
     _theta,
 )
@@ -232,11 +235,11 @@ def _residuals(om, theta, kind, data, free=()):
     """Residual vector of one trace; real-valued.
 
     ``om``, ``theta`` and ``free`` are as for the model kernel; ``data`` is
-    the trace's values, scaled to unit maximum for power traces. Complex
-    kinds stack the real and imaginary parts. With ``free`` non-empty,
-    returns ``(r, jac)`` with the closed-form Jacobian dr/dtheta[free]. The
-    power model |S21|^2 / max |S21|^2 is differentiated with the maximum
-    held at its argmax sample.
+    the trace's values. Complex kinds stack the real and imaginary parts.
+    Power traces profile out the scale of p = |S21|^2 (variable projection):
+    r = s p - data with s = (p . data) / (p . p). With ``free`` non-empty,
+    returns ``(r, jac)`` with the closed-form Jacobian dr/dtheta[free]
+    (for power, s dp + p ds with ds = (data . dp - 2 s p . dp) / (p . p)).
     """
     power = kind is TraceKind.POWER
     out = _scattering(om, theta, TraceKind.S21 if power else kind, free)
@@ -248,14 +251,14 @@ def _residuals(om, theta, kind, data, free=()):
             return r
         return r, np.concatenate([jac.real, jac.imag])
     p = np.abs(model) ** 2
-    k = int(np.argmax(p))
-    peak = p[k] if p[k] > 0.0 else 1.0  # an all-zero model stays unscaled
-    scaled = p / peak
-    r = scaled - data
+    norm = p @ p or 1.0  # an all-zero model: p = dp = 0, so s = 0
+    s = (p @ data) / norm
+    r = s * p - data
     if jac is None:
         return r
     dp = 2.0 * (model.real[:, None] * jac.real + model.imag[:, None] * jac.imag)
-    return r, (dp - scaled[:, None] * dp[k]) / peak
+    ds = (data @ dp - 2.0 * s * (p @ dp)) / norm
+    return r, s * dp + np.outer(p, ds)
 
 
 def _check_degenerate(jac, names):
@@ -287,7 +290,7 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
     the damping grows when a step fails to reduce the cost and shrinks when
     it succeeds, and steps are clipped to the parameter bounds. J is the
     closed-form Jacobian of the model kernel (for power traces, of the
-    unit-max normalization taken at the argmax sample). The fit stops
+    model times its least-squares scale to the data). The fit stops
     when the relative cost reduction or the relative step drops below
     ``config.tolerance``; hitting ``max_iterations`` first yields
     ``converged=False`` rather than an exception.
@@ -421,8 +424,9 @@ def auto_initial_guess(trace: ComplexTrace, template: SystemParams) -> SystemPar
 
     Heuristic: local power maxima above 3x the median power are collected
     (suppressing secondary maxima inside an already-claimed feature); the
-    widest feature is taken as the cavity, the narrowest as the LC mode.
-    Rates are left at the template's values.
+    widest feature is taken as the dressed cavity mode, the narrowest as
+    the dressed LC mode, and both are undressed with the template's g and
+    rates (:func:`_undressed`). Rates are left at the template's values.
     """
     f = trace.freqs
     p = trace.power()
@@ -458,11 +462,19 @@ def auto_initial_guess(trace: ComplexTrace, template: SystemParams) -> SystemPar
             "fewer than two resolvable features above 3x the median power"
         )
     by_width = sorted(peaks, key=lambda t: t[1])
-    lc_freq = by_width[0][0]
-    cav_freq = by_width[-1][0]
-    return template.replace(
-        omega_cav=TWO_PI * cav_freq, omega_lc=TWO_PI * lc_freq
-    )
+    return _undressed(template, TWO_PI * by_width[-1][0], TWO_PI * by_width[0][0])
+
+
+def _undressed(template, dressed_cav, dressed_lc):
+    """``template`` with the bare frequencies whose dressed modes sit at
+    ``dressed_cav`` and ``dressed_lc`` (rad/s): the trace of the mode matrix
+    fixes their sum, the exact inverse of the splitting their difference. A
+    splitting below the template's minimum keeps the dressed frequencies."""
+    bare = _bare_detuning(dressed_cav - dressed_lc, template)
+    if math.isfinite(bare):
+        mid = 0.5 * (dressed_cav + dressed_lc)
+        dressed_cav, dressed_lc = mid + 0.5 * bare, mid - 0.5 * bare
+    return template.replace(omega_cav=dressed_cav, omega_lc=dressed_lc)
 
 
 @dataclass(frozen=True)
@@ -515,16 +527,10 @@ def multi_trace_fit(traces, shared, config: FitConfig) -> MultiTraceFit:
 
     results = []
     for trace in traces:
-        cfg = config
         guessed = auto_initial_guess(trace, config.initial_guess)
-        updates = {
-            n: getattr(guessed, n) for n in ("omega_cav", "omega_lc") if n in config.free_params
-        }
-        if updates:
-            cfg = dataclasses.replace(
-                config, initial_guess=config.initial_guess.replace(**updates)
-            )
-        results.append(fit_trace(trace, cfg))
+        start = {n: getattr(guessed, n) for n in FREQUENCY_FIELDS if n in config.free_params}
+        start = config.initial_guess.replace(**start)
+        results.append(fit_trace(trace, dataclasses.replace(config, initial_guess=start)))
 
     n = len(results)
     means, std_errors, consistent, unc_hz = {}, {}, {}, {}

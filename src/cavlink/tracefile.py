@@ -186,8 +186,9 @@ def read_trace(path) -> ComplexTrace:
 
 def load_config(path) -> configparser.ConfigParser:
     """Read an INI config; syntax errors become ConfigError. Missing files
-    raise FileNotFoundError (an I/O problem, not a config problem)."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    raise FileNotFoundError (an I/O problem, not a config problem). No header
+    can name the default section "\\n", so ``[DEFAULT]`` is an ordinary one."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="\n")
     try:
         with open(path, "r") as handle:
             parser.read_file(handle, source=str(path))

@@ -702,6 +702,16 @@ class TestConfigKeys:
         assert captured.out == "" and not out.exists()
         assert list(tmp_path.glob("keys*")) == [tmp_path / "keys.ini"]
 
+    def test_default_section_refused(self, tmp_path, capsys):
+        # configparser would copy [DEFAULT] keys into [grid] and blame them there
+        text = "[DEFAULT]\nnote = x\n" + self.configs(tmp_path)["simulate"]
+        rc, out = self.run_command(tmp_path, "simulate", text)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "DEFAULT: unknown section" in captured.err
+        assert "grid.note" not in captured.err
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("command, text, keys", [
         ("sweep", "field = g\nvalues_hz = 20e6\nstart_hz = 10e6\n", ("values_hz", "start_hz")),
         ("sweep", "field = g\nvalues_hz = 20e6\nstop_hz = 90e6\n", ("values_hz", "stop_hz")),

@@ -488,3 +488,31 @@ class TestClosedFormMatchesEig:
         pull = p.g**2 * p.kappa_cav_tot / (delta**2 + (0.5 * p.kappa_cav_tot) ** 2)
         assert m.kappa_lc == pytest.approx(pull, rel=1e-3)
         assert m.kappa_cav + m.kappa_lc == pytest.approx(p.kappa_cav_tot, rel=1e-12)
+
+
+# -- the exact inverse of the dressed splitting --------------------------------
+
+from cavlink.coupled_modes import _bare_detuning  # noqa: E402
+
+_lossy = st.floats(1e5, 2e8)
+
+
+@st.composite
+def detuned_lossy_params(draw):
+    """Lossy modes detuned either way by 0.5 to 20 times max(g, kappa_cav_tot)."""
+    omega_lc = draw(st.floats(3e10, 1e11))
+    rates = [draw(_lossy) for _ in range(4)]
+    g = draw(st.floats(1e6, 2e8))
+    scale = max(g, rates[0] + rates[1] + rates[2])
+    delta = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(0.5, 20.0)) * scale
+    return SystemParams(omega_lc + delta, omega_lc, *rates, g)
+
+
+class TestBareDetuning:
+    @settings(max_examples=400, deadline=None)
+    @given(detuned_lossy_params())
+    def test_inverts_the_dressed_splitting(self, p):
+        bare = _bare_detuning(dressed_modes(p).delta_eff, p)
+        # the dressed frequencies round at the ~1e10 rad/s carrier, and the
+        # inverse scales that error by dDelta/dT, at most about 4 here
+        assert bare == pytest.approx(p.omega_cav - p.omega_lc, rel=1e-11, abs=1e-14 * p.omega_lc)
