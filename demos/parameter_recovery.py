@@ -3,7 +3,8 @@
 A synthetic measurement is generated at amplitude SNR 100, a starting point
 is guessed from the data alone, and a damped least-squares fit pulls the
 parameters back out. The second half fits two traces taken with different
-hats jointly, sharing the coupling they have in common.
+hats, each on its own, and pools the coupling they have in common as the
+mean of the two fits with its standard error.
 """
 
 import numpy as np
@@ -61,8 +62,8 @@ def main():
     print("single trace, guess taken from the data:")
     report_fit(truth, result)
 
-    # same chip under two hats: only the cavity frequency moved, so the
-    # coupling is fitted once across both traces
+    # same chip under two hats: only the cavity frequency moved, so the two
+    # independent fits should agree on the coupling, which is pooled
     traces = []
     for seed, name in enumerate(("hat270", "hat300"), start=11):
         p = HAT_PRESETS[name].replace(g=truth.g)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import difflib
-import math
 import os
 import sys
 import warnings
@@ -22,6 +21,7 @@ from .coupled_modes import (
     PARAM_FIELDS,
     RATE_FIELDS,
     SystemParams,
+    _PARAM_RULE,
     dressed_modes,
     effective_rates,
     s11,
@@ -44,6 +44,7 @@ from .errors import (
     PeakAmbiguityError,
     TraceParseError,
     WindowTooNarrowError,
+    _RULES,
 )
 from .lineshape import FitConfig, add_noise, extract_fwhm, fit_trace, multi_trace_fit
 from .tracefile import (
@@ -64,12 +65,13 @@ EXIT_NONCONVERGENCE = 5
 _MAX_HZ = angular_to_hz(sys.float_info.max)  # the largest value that is finite in rad/s
 _REQUIRED = object()  # the default of a key that must be given
 
-# One key table per command: section -> key -> (type, rule, default). Types: "rad/s"
+# One key table per command: section -> key -> (type, rule, default); a rule names
+# an errors._RULES entry. Types: "rad/s"
 # (written in Hz, read in rad/s), "Hz" (kept in Hz, finite in rad/s), float, int,
 # str, list. An absent key reads as its default, and --preset gives those of
 # [params], which is read into a SystemParams. "mode.N" is every [mode.<integer>].
-_PARAMS = {f"{name}_hz": ("rad/s", "non-negative", 0.0) if name in RATE_FIELDS
-           else ("rad/s", "positive", _REQUIRED) for name in PARAM_FIELDS}
+_PARAMS = {f"{name}_hz": ("rad/s", _PARAM_RULE[name], 0.0 if name in RATE_FIELDS else _REQUIRED)
+           for name in PARAM_FIELDS}
 _GRID = {"f_start_hz": ("Hz", None, _REQUIRED), "f_stop_hz": ("Hz", None, _REQUIRED),
          "points": (int, None, _REQUIRED)}
 _MODE = {"omega_m_hz": ("rad/s", "positive", _REQUIRED),
@@ -111,8 +113,9 @@ _TABLES = {
     }, "mode.N": _MODE},
 }
 # Key -> its alternative: a section may give one or neither, not both.
-_EITHER = {"trace": "traces", "start_hz": "values_hz", "stop_hz": "values_hz",
-           "points": "values_hz", "coupling_hz": "gamma_e_hz"}
+_EITHER = {"trace": "traces", "monte_carlo_runs": "traces", "noise_amplitude": "traces",
+           "start_hz": "values_hz", "stop_hz": "values_hz", "points": "values_hz",
+           "coupling_hz": "gamma_e_hz"}
 
 
 def _refused(cp, section, key, why):
@@ -147,12 +150,11 @@ def _value(cp, section, key, kind, rule, default):
     except ValueError:
         a = "an integer" if kind is int else "a number"
         raise ConfigError(f"{section}.{key}: {raw!r} is not {a}") from None
-    if kind is not int and not math.isfinite(value):
+    if not _RULES["finite"](value):
         raise ConfigError(f"{section}.{key}: must be finite")
-    if rule and not {"non-negative": value >= 0, "positive": value > 0,
-                     "in (0, 1)": 0 < value < 1}[rule]:
+    if rule and not _RULES[rule](value):
         raise _refused(cp, section, key, f"must be {rule}")
-    if kind in ("rad/s", "Hz") and math.isinf(hz_to_angular(value)):
+    if kind in ("rad/s", "Hz") and not _RULES["finite"](hz_to_angular(value)):
         magnitude = "" if rule else " in magnitude"
         raise _refused(cp, section, key, f"must be at most {_MAX_HZ:.3g} Hz{magnitude}")
     return hz_to_angular(value) if kind == "rad/s" else value
@@ -219,7 +221,7 @@ def _cmd_simulate(cp, out, seed, preset_name):
         if name in outputs[:i]:
             raise ConfigError(f"simulate.outputs: trace {name!r} is listed twice")
     noise = configs[0]["simulate"]["noise_amplitude"]
-    if any(math.isinf(values["params"].g * values["params"].g) for values in configs):
+    if not all(_RULES["finite"](values["params"].g * values["params"].g) for values in configs):
         raise _refused(cp, "params", "g_hz", "must keep g^2 finite in (rad/s)^2")
 
     written = []
@@ -407,7 +409,7 @@ def _cmd_sweep(cp, out, preset_name):
 def _cmd_omit(cp, out, preset_name):
     values = _read(cp, _TABLES["omit"], preset_name)
     params, grid, omit = values["params"], _grid(values["grid"]), values["omit"]
-    if not 0.0 < params.omega_lc + omit["lc_shift_hz"] < np.inf:
+    if not _RULES["positive"](params.omega_lc + omit["lc_shift_hz"]):
         raise _refused(cp, "omit", "lc_shift_hz", "must keep the LC frequency positive and finite")
     pumped = pumped_lc_params(
         params, lc_shift=omit["lc_shift_hz"], lc_extra_loss=omit["lc_extra_loss_hz"]
@@ -423,9 +425,9 @@ def _cmd_omit(cp, out, preset_name):
         coupling = entry[key]
         if key == "gamma_e_hz":
             coupling = coupling_for_damping(coupling, kappa_lc_tot)
-        finite = np.isfinite(coupling)
+        finite = _RULES["finite"](coupling)
         gamma_e = electromechanical_damping(coupling, kappa_lc_tot) if finite else np.inf
-        if np.isinf(gamma_e):
+        if not _RULES["finite"](gamma_e):
             why = "must keep the coupling and its damping finite"
             if key == "gamma_e_hz" and omit["lc_extra_loss_hz"] > 0.0:  # it widens kappa_lc_tot
                 why += f" with omit.lc_extra_loss_hz = {cp.get('omit', 'lc_extra_loss_hz')}"
@@ -435,7 +437,7 @@ def _cmd_omit(cp, out, preset_name):
         gamma_es.append(gamma_e)
 
     omega_pump = dressed.omega_lc - modes[0].omega_m + omit["pump_offset_hz"]
-    if not (omega_pump > 0.0 and omit["pump_offset_hz"] < modes[0].omega_m):
+    if not (_RULES["positive"](omega_pump) and omit["pump_offset_hz"] < modes[0].omega_m):
         raise _refused(cp, "omit", "pump_offset_hz", "must keep the pump red-detuned, above 0 Hz")
     trace = multi_mode_omit(pumped, modes, couplings, omega_pump, grid)
     write_trace(out, trace)
@@ -502,7 +504,7 @@ def _build_parser():
 def run(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.seed < 0:
+    if not _RULES["non-negative"](args.seed):
         parser.error(f"--seed must be non-negative, got {args.seed}")
     try:
         cp = load_config(args.config)

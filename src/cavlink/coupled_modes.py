@@ -29,16 +29,18 @@ from .errors import (
     InvalidInputError,
     SingularResponseError,
     ValidityWarning,
+    _RULES,
+    _require,
 )
 from .units import angular_to_hz, hz_to_angular
 
 FREQUENCY_FIELDS = ("omega_cav", "omega_lc")
 RATE_FIELDS = ("kappa_cav_1", "kappa_cav_2", "kappa_cav_loss", "kappa_lc_bare", "g")
 PARAM_FIELDS = FREQUENCY_FIELDS + RATE_FIELDS
-#: The parameter domain: each field is finite and at least its floor here.
-#: Frequencies are positive (5e-324 is the smallest positive float), rates
-#: non-negative.
-_PARAM_FLOOR = {name: 5e-324 if name in FREQUENCY_FIELDS else 0.0 for name in PARAM_FIELDS}
+#: The parameter domain, one rule of ``errors._RULES`` per field:
+#: frequencies are positive, rates non-negative.
+_PARAM_RULE = {name: "positive" if name in FREQUENCY_FIELDS else "non-negative"
+               for name in PARAM_FIELDS}
 
 #: Default threshold on kappa_lc_tot / (4 omega_m) below which the device
 #: counts as resolved-sideband.
@@ -72,13 +74,10 @@ class SystemParams:
     g: float
 
     def __post_init__(self):
-        for name, floor in _PARAM_FLOOR.items():
+        for name, rule in _PARAM_RULE.items():
             value = float(getattr(self, name))
-            if not floor <= value < np.inf:
-                rule = "positive" if floor else "non-negative"
-                raise InvalidInputError(
-                    f"{name} must be {rule} and finite (rad/s), got {value!r}"
-                )
+            if not _RULES[rule](value):  # the test alone on the hot path
+                _require(name, value, rule, "rad/s")
             object.__setattr__(self, name, value)
         if _ultrastrong(self.omega_cav, self.omega_lc, self.g):
             _warn_ultrastrong()
@@ -500,10 +499,7 @@ class DerivedRates:
                 "kappa_lc_tot must equal kappa_eff_1 + kappa_eff_2 + kappa_lc_loss "
                 f"exactly ({self.kappa_lc_tot!r} != {expected!r})"
             )
-        if not 0.0 <= self.dissipation_fraction <= 1.0:
-            raise InvalidInputError(
-                f"dissipation_fraction must lie in [0, 1], got {self.dissipation_fraction!r}"
-            )
+        _require("dissipation_fraction", self.dissipation_fraction, "in [0, 1]")
 
     def to_hz(self) -> dict:
         """Report form: rates in Hz, fraction and flag passed through."""
@@ -555,8 +551,7 @@ def effective_rates(params: SystemParams, *, delta_eff=None) -> DerivedRates:
     if delta_eff is None:
         delta_eff = dressed_modes(params).delta_eff
     delta_eff = float(delta_eff)
-    if not np.isfinite(delta_eff):
-        raise InvalidInputError(f"delta_eff must be finite, got {delta_eff!r}")
+    _require("delta_eff", delta_eff, "finite")
     rates = [getattr(params, name) for name in RATE_FIELDS]
     *budget, within_validity, diverges = _rate_budget(*rates, delta_eff)
     if diverges:
@@ -613,10 +608,6 @@ def resolved_sideband_ratio(kappa_lc_tot: float, omega_m: float) -> float:
     conventionally :data:`DEFAULT_SIDEBAND_THRESHOLD`. ``kappa_lc_tot`` may
     be an array; every entry must then be in the domain.
     """
-    if not np.all(np.isfinite(kappa_lc_tot)) or np.any(kappa_lc_tot < 0.0):
-        raise InvalidInputError(
-            f"kappa_lc_tot must be non-negative and finite, got {kappa_lc_tot!r}"
-        )
-    if not np.isfinite(omega_m) or omega_m <= 0.0:
-        raise InvalidInputError(f"omega_m must be positive and finite, got {omega_m!r}")
+    _require("kappa_lc_tot", kappa_lc_tot, "non-negative")
+    _require("omega_m", omega_m, "positive")
     return kappa_lc_tot / (4.0 * omega_m)

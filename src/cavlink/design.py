@@ -22,7 +22,7 @@ from .coupled_modes import (
     effective_rates,
     resolved_sideband_ratio,
     DEFAULT_SIDEBAND_THRESHOLD,
-    _PARAM_FLOOR,
+    _PARAM_RULE,
     _bare_detuning,
     _dressed,
     _rate_budget,
@@ -30,7 +30,7 @@ from .coupled_modes import (
     _ultrastrong,
     _warn_ultrastrong,
 )
-from .errors import BranchAssignmentError, InvalidInputError, NoSolutionError
+from .errors import BranchAssignmentError, InvalidInputError, NoSolutionError, _RULES, _require
 from .units import angular_to_hz, hz_to_angular
 
 # Knobs that run_sweep can scan. All but delta_eff are SystemParams fields;
@@ -51,14 +51,11 @@ class SweepTargets:
         lo, hi = self.coupling_band_hz
         if not (lo < hi):
             raise InvalidInputError("coupling_band_hz must satisfy lo < hi")
-        if lo < 0.0 or hi == math.inf:
-            raise InvalidInputError("coupling_band_hz must be nonnegative and finite")
-        if not 0.0 < hz_to_angular(self.omega_m_hz) < math.inf:
-            raise InvalidInputError("omega_m_hz must be positive and finite in rad/s")
-        if not 0.0 < self.sideband_threshold < math.inf:
-            raise InvalidInputError("sideband_threshold must be positive and finite")
-        if not 0.0 <= self.max_dissipation_fraction <= 1.0:
-            raise InvalidInputError("max_dissipation_fraction must be in [0, 1]")
+        for bound in (lo, hi):
+            _require("coupling_band_hz", bound, "non-negative")
+        _require("omega_m_hz", hz_to_angular(self.omega_m_hz), "positive", "rad/s")
+        _require("sideband_threshold", self.sideband_threshold, "positive")
+        _require("max_dissipation_fraction", self.max_dissipation_fraction, "in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -137,9 +134,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     base, name, targets = spec.base_params, spec.swept_field, spec.targets
     x = hz_to_angular(np.array(spec.values_hz))
     # the check SystemParams (or effective_rates, for delta_eff) makes
-    valid = np.isfinite(x)
-    if name != "delta_eff":
-        valid &= x >= _PARAM_FLOOR[name]
+    valid = _RULES["finite" if name == "delta_eff" else _PARAM_RULE[name]](x)
     x = np.where(valid, x, 0.0)  # refused values stay out of the arithmetic
     p = dict(zip(PARAM_FIELDS, _theta(base)))
     if name == "delta_eff":
@@ -150,14 +145,14 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         # dressed_modes and SystemParams' warning test on every value at once
         lam_cav, lam_lc, _, fifty_fifty = _dressed(*p.values())
         delta = lam_cav.real - lam_lc.real
-        valid &= ~fifty_fifty & np.isfinite(delta)
+        valid &= ~fifty_fifty & _RULES["finite"](delta)
         noisy = _ultrastrong(p["omega_cav"], p["omega_lc"], p["g"])
     budget = _rate_budget(*(p[field] for field in RATE_FIELDS), delta)
     _, keff1, keff2, _, lc_loss, lc_tot, fraction, _, diverges = budget
     # effective_rates refuses diverging rates; DerivedRates, a budget that
     # is not the exact sum or a fraction outside [0, 1]
     valid &= ~diverges & (lc_tot == keff1 + keff2 + lc_loss)
-    valid &= (0.0 <= fraction) & (fraction <= 1.0)
+    valid &= _RULES["in [0, 1]"](fraction)
 
     lo, hi = targets.coupling_band_hz
     keff1_hz = angular_to_hz(keff1)
@@ -200,8 +195,7 @@ def find_target_detuning(base: SystemParams, target_keff1_hz: float) -> float:
     Raises NoSolutionError when the target exceeds the zero-detuning maximum
     and InvalidInputError where a term under the root overflows.
     """
-    if not target_keff1_hz > 0.0:
-        raise InvalidInputError("target_keff1_hz must be positive")
+    _require("target_keff1_hz", target_keff1_hz, "positive")
     target = hz_to_angular(target_keff1_hz)
     k1, g, half = base.kappa_cav_1, base.g, 0.5 * base.kappa_cav_tot
     if k1 == 0.0 or g == 0.0:
@@ -230,8 +224,7 @@ def with_dressed_detuning(base: SystemParams, delta_eff_hz: float) -> SystemPara
     The modes repel, so targets at or below the minimum splitting raise
     NoSolutionError; InvalidInputError marks squares that overflow.
     """
-    if not (delta_eff_hz > 0.0 and math.isfinite(delta_eff_hz)):
-        raise InvalidInputError("delta_eff_hz must be positive and finite")
+    _require("delta_eff_hz", delta_eff_hz, "positive")
     delta_bare = _bare_detuning(hz_to_angular(delta_eff_hz), base)
     if math.isnan(delta_bare):
         raise NoSolutionError(
@@ -250,14 +243,13 @@ def bare_loss_for_dissipation_fraction(rates: DerivedRates, fraction: float) -> 
     Raises NoSolutionError when the external rates already dissipate a larger
     fraction than requested (the bare loss cannot be negative).
     """
-    if not 0.0 <= fraction < 1.0:
-        raise InvalidInputError("fraction must be in [0, 1)")
+    _require("fraction", fraction, "in [0, 1)")
     external = rates.kappa_eff_1 + rates.kappa_eff_2 + rates.kappa_eff_loss
     bare = (fraction * external - rates.kappa_eff_loss) / (1.0 - fraction)
     if bare < 0.0:
         raise NoSolutionError(
             "cavity-mediated loss alone exceeds the requested dissipation "
-            "fraction; no nonnegative bare loss achieves it"
+            "fraction; no non-negative bare loss achieves it"
         )
     return bare
 

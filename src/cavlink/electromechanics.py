@@ -31,7 +31,7 @@ from .coupled_modes import (
     effective_rates,
     resolved_sideband_ratio,
 )
-from .errors import InvalidInputError, SingularResponseError, ValidityWarning
+from .errors import InvalidInputError, SingularResponseError, ValidityWarning, _require
 from .units import hz_to_angular
 
 
@@ -43,14 +43,8 @@ class MechanicalMode:
     gamma_m: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.omega_m) or self.omega_m <= 0.0:
-            raise InvalidInputError(
-                f"omega_m must be positive and finite (rad/s), got {self.omega_m!r}"
-            )
-        if not np.isfinite(self.gamma_m) or self.gamma_m < 0.0:
-            raise InvalidInputError(
-                f"gamma_m must be non-negative and finite (rad/s), got {self.gamma_m!r}"
-            )
+        _require("omega_m", self.omega_m, "positive", "rad/s")
+        _require("gamma_m", self.gamma_m, "non-negative", "rad/s")
 
 
 def electromechanical_damping(coupling, kappa_lc_tot, *, omega_m=None):
@@ -59,12 +53,8 @@ def electromechanical_damping(coupling, kappa_lc_tot, *, omega_m=None):
     Valid in the resolved-sideband regime; pass ``omega_m`` to have the
     sideband ratio checked (a ratio >= 1 draws a ValidityWarning).
     """
-    if not np.isfinite(coupling) or coupling < 0.0:
-        raise InvalidInputError(f"coupling must be non-negative, got {coupling!r}")
-    if not np.isfinite(kappa_lc_tot) or kappa_lc_tot <= 0.0:
-        raise InvalidInputError(
-            f"kappa_lc_tot must be positive and finite, got {kappa_lc_tot!r}"
-        )
+    _require("coupling", coupling, "non-negative")
+    _require("kappa_lc_tot", kappa_lc_tot, "positive")
     if omega_m is not None and resolved_sideband_ratio(kappa_lc_tot, omega_m) >= 1.0:
         warnings.warn(
             "kappa_lc_tot/(4 omega_m) >= 1: far outside the resolved-sideband "
@@ -78,12 +68,8 @@ def electromechanical_damping(coupling, kappa_lc_tot, *, omega_m=None):
 
 def coupling_for_damping(gamma_e, kappa_lc_tot):
     """Inverse of :func:`electromechanical_damping`: G = sqrt(gamma_e * kappa_lc_tot) / 2."""
-    if not np.isfinite(gamma_e) or gamma_e < 0.0:
-        raise InvalidInputError(f"gamma_e must be non-negative, got {gamma_e!r}")
-    if not np.isfinite(kappa_lc_tot) or kappa_lc_tot <= 0.0:
-        raise InvalidInputError(
-            f"kappa_lc_tot must be positive and finite, got {kappa_lc_tot!r}"
-        )
+    _require("gamma_e", gamma_e, "non-negative")
+    _require("kappa_lc_tot", kappa_lc_tot, "positive")
     return 0.5 * np.sqrt(gamma_e * kappa_lc_tot)
 
 
@@ -96,12 +82,8 @@ def pumped_lc_params(
     ``lc_extra_loss`` >= 0 the pump-induced extra LC loss (the "deepening"
     of the dip), both in rad/s.
     """
-    if not np.isfinite(lc_shift):
-        raise InvalidInputError(f"lc_shift must be finite, got {lc_shift!r}")
-    if not np.isfinite(lc_extra_loss) or lc_extra_loss < 0.0:
-        raise InvalidInputError(
-            f"lc_extra_loss must be non-negative and finite, got {lc_extra_loss!r}"
-        )
+    _require("lc_shift", lc_shift, "finite")
+    _require("lc_extra_loss", lc_extra_loss, "non-negative")
     return params.replace(
         omega_lc=params.omega_lc + lc_shift,
         kappa_lc_bare=params.kappa_lc_bare + lc_extra_loss,
@@ -159,8 +141,7 @@ def multi_mode_omit(pumped, modes, couplings, omega_pump, freqs) -> ComplexTrace
     if len(couplings) != len(modes):
         raise InvalidInputError("need exactly one coupling per mechanical mode")
     for c in couplings:
-        if not np.isfinite(c) or c < 0.0:
-            raise InvalidInputError(f"couplings must be non-negative, got {c!r}")
+        _require("couplings", c, "non-negative")
     for i in range(len(modes)):
         for j in range(i + 1, len(modes)):
             if abs(modes[i].omega_m - modes[j].omega_m) < max(

@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the library."""
+"""Exception and warning types shared across the library, and the one
+table of single-number rules that every input check reads."""
+
+from math import inf
 
 
 class CavlinkError(Exception):
@@ -52,3 +55,25 @@ class ConfigError(CavlinkError):
 
 class ValidityWarning(UserWarning):
     """The model is being evaluated outside its stated domain of validity."""
+
+
+#: Each rule on one number, by the words its messages use, and its test. A
+#: test takes a float or a numpy array (then elementwise); NaN fails them all.
+_RULES = {
+    "positive": lambda x: (0.0 < x) & (x < inf),
+    "non-negative": lambda x: (0.0 <= x) & (x < inf),
+    "finite": lambda x: (-inf < x) & (x < inf),
+    "in (0, 1)": lambda x: (0.0 < x) & (x < 1.0),
+    "in [0, 1]": lambda x: (0.0 <= x) & (x <= 1.0),
+    "in [0, 1)": lambda x: (0.0 <= x) & (x < 1.0),
+}
+
+
+def _require(name, value, rule, unit=""):
+    """Raise InvalidInputError unless ``value`` (every entry, for an array)
+    obeys ``rule``; the message names the unit ``value`` is in, if given."""
+    ok = _RULES[rule](value)  # a bool for a Python number, else numpy's
+    if not (ok is True or ok is not False and ok.all()):
+        bound = " and finite" if rule in ("positive", "non-negative") else ""
+        unit = f" ({unit})" if unit else ""
+        raise InvalidInputError(f"{name} must be {rule}{bound}{unit}, got {value!r}")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -22,7 +23,7 @@ from .coupled_modes import (
     ComplexTrace,
     SystemParams,
     TraceKind,
-    _PARAM_FLOOR,
+    _PARAM_RULE,
     _bare_detuning,
     _scattering,
     _theta,
@@ -33,6 +34,8 @@ from .errors import (
     PeakAmbiguityError,
     ValidityWarning,
     WindowTooNarrowError,
+    _RULES,
+    _require,
 )
 from .units import TWO_PI, angular_to_hz
 
@@ -196,13 +199,15 @@ class FitConfig:
                     f"initial guess for {name!r} ({value!r}) is outside bounds {pair!r}"
                 )
         object.__setattr__(self, "bounds", bounds)
-        if self.max_iterations < 1:
-            raise InvalidInputError("max_iterations must be at least 1")
-        if not 0.0 < self.tolerance < 1.0:
-            raise InvalidInputError("tolerance must lie in (0, 1)")
+        iterations = self.max_iterations
+        if not isinstance(iterations, numbers.Integral):
+            raise InvalidInputError(f"max_iterations must be an integer, got {iterations!r}")
+        _require("max_iterations", iterations, "positive")
+        _require("tolerance", self.tolerance, "in (0, 1)")
 
     def effective_bounds(self, name: str) -> tuple:
-        return self.bounds.get(name, (_PARAM_FLOOR[name], np.inf))
+        floor = 5e-324 if _PARAM_RULE[name] == "positive" else 0.0  # the rule's least value
+        return self.bounds.get(name, (floor, np.inf))
 
 
 @dataclass(frozen=True)
@@ -314,7 +319,7 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
     hi = np.array([config.effective_bounds(n)[1] for n in names])
     x = np.array([getattr(base, n) for n in names], dtype=float)
 
-    domain_lo = np.array([_PARAM_FLOOR[n] for n in names])  # the model's domain
+    domain = [_RULES[_PARAM_RULE[n]] for n in names]  # the model's domain
     free = tuple(PARAM_FIELDS.index(n) for n in names)
     theta = list(_theta(base))
     om = TWO_PI * trace.freqs
@@ -333,7 +338,7 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
     def cost_of(xv):
         # A trial outside the model's domain or with a non-finite model
         # counts as infinitely costly.
-        if not np.all((xv >= domain_lo) & (xv < np.inf)):
+        if not all(inside(v) for inside, v in zip(domain, xv.tolist())):
             return np.inf
         r = evaluate(xv, False)
         if not np.all(np.isfinite(r)):
@@ -577,8 +582,8 @@ def add_noise(trace: ComplexTrace, amplitude: float, seed: int) -> ComplexTrace:
     """
     if trace.kind is TraceKind.POWER:
         raise InvalidInputError("noise is added to complex traces, not power traces")
-    if amplitude < 0.0 or not np.isfinite(amplitude):
-        raise InvalidInputError(f"noise amplitude must be non-negative, got {amplitude!r}")
+    _require("noise amplitude", amplitude, "non-negative")
+    _require("seed", seed, "non-negative")
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, amplitude, (2, len(trace)))
     return ComplexTrace(trace.freqs, trace.values + noise[0] + 1j * noise[1], trace.kind)

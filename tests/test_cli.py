@@ -720,8 +720,13 @@ class TestConfigKeys:
          ("trace", "traces")),
         ("fit", "free_params = g\ntrace = {data}\nbound_omega_cav_hz = 7e9, 8e9\n",
          ("bound_omega_cav_hz", "free_params")),
+        # a joint fit runs no Monte Carlo batch
+        ("fit", "free_params = g\ntraces = {data}, {data}\nshared = g\nmonte_carlo_runs = 3\n",
+         ("monte_carlo_runs", "traces")),
+        ("fit", "free_params = g\ntraces = {data}, {data}\nshared = g\nnoise_amplitude = 0.01\n",
+         ("noise_amplitude", "traces")),
     ], ids=["values_and_start", "values_and_stop", "values_and_points", "trace_and_traces",
-            "bound_of_fixed_param"])
+            "bound_of_fixed_param", "monte_carlo_runs_and_traces", "noise_and_traces"])
     def test_keys_a_run_would_drop_refused(self, tmp_path, capsys, command, text, keys):
         self.configs(tmp_path)  # writes data.csv
         text = f"[{command}]\n" + text.format(data=tmp_path / "data.csv")

@@ -33,6 +33,7 @@ from cavlink import (
     s11,
     s21,
 )
+from cavlink.cli import _TABLES
 from cavlink.coupled_modes import FREQUENCY_FIELDS, PARAM_FIELDS
 
 from conftest import merged_grid, reference_params, random_params
@@ -60,8 +61,9 @@ class TestSystemParams:
     @pytest.mark.parametrize("name", PARAM_FIELDS)
     @pytest.mark.parametrize("edge", ["floor", "below_floor", "minus_zero", "nan", "inf", "-inf"])
     def test_domain_edges_agree(self, name, edge):
-        """SystemParams, the fit's default bounds and run_sweep's refusal
-        mask draw one line: finite, frequencies positive, rates non-negative."""
+        """SystemParams, the fit's default bounds, run_sweep's refusal mask
+        and the CLI's [params] rows draw one line: finite, frequencies
+        positive, rates non-negative."""
         floor = 5e-324 if name in FREQUENCY_FIELDS else 0.0
         value, inside = {
             "floor": (floor, True),
@@ -73,6 +75,8 @@ class TestSystemParams:
         }[edge]
         base = reference_params()
         rule = "positive" if name in FREQUENCY_FIELDS else "non-negative"
+        for table in _TABLES.values():
+            assert table["params"][f"{name}_hz"][1] == rule
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", ValidityWarning)
             if inside:

@@ -28,7 +28,7 @@ class TestSweepInputs:
     def test_targets_validation(self):
         with pytest.raises(InvalidInputError, match="lo < hi"):
             SweepTargets(coupling_band_hz=(2e6, 1.5e6))
-        with pytest.raises(InvalidInputError, match="nonnegative"):
+        with pytest.raises(InvalidInputError, match="non-negative"):
             SweepTargets(coupling_band_hz=(-1.0, 1.5e6))
         with pytest.raises(InvalidInputError, match="omega_m_hz"):
             SweepTargets(omega_m_hz=0.0)
@@ -227,7 +227,7 @@ class TestBareLossForDissipation:
     def test_impossible_fraction(self):
         rates = effective_rates(HAT_PRESETS["hat270"])
         # cavity-internal loss already dissipates more than 0%
-        with pytest.raises(NoSolutionError, match="nonnegative"):
+        with pytest.raises(NoSolutionError, match="non-negative"):
             bare_loss_for_dissipation_fraction(rates, 0.0)
 
     def test_fraction_range(self):

@@ -153,6 +153,8 @@ class TestFitConfig:
     def test_iteration_and_tolerance_validation(self):
         with pytest.raises(InvalidInputError, match="max_iterations"):
             FitConfig(free_params=("g",), initial_guess=reference_params(), max_iterations=0)
+        with pytest.raises(InvalidInputError, match="max_iterations must be an integer"):
+            FitConfig(free_params=("g",), initial_guess=reference_params(), max_iterations=2.5)
         with pytest.raises(InvalidInputError, match="tolerance"):
             FitConfig(free_params=("g",), initial_guess=reference_params(), tolerance=0.0)
 
@@ -555,6 +557,11 @@ class TestAddNoise:
         trace = s21(reference_params(), merged_grid(reference_params()))
         with pytest.raises(InvalidInputError, match="non-negative"):
             add_noise(trace, -0.01, seed=1)
+
+    def test_negative_seed_rejected(self):
+        trace = s21(reference_params(), merged_grid(reference_params()))
+        with pytest.raises(InvalidInputError, match="seed must be non-negative"):
+            add_noise(trace, 0.01, seed=-1)
 
     def test_noise_statistics(self):
         f = np.linspace(1e9, 2e9, 4000)
