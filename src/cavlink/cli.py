@@ -254,9 +254,13 @@ def _fit_config_from(fit, guess: SystemParams) -> FitConfig:
         if len(pieces) != 2:
             raise ConfigError(f"fit.{key}: expected 'lo,hi'")
         try:
-            bounds[name] = tuple(hz_to_angular(float(p)) for p in pieces)
+            lo, hi = bounds[name] = tuple(hz_to_angular(float(p)) for p in pieces)
         except ValueError:
             raise ConfigError(f"fit.{key}: bounds must be numbers") from None
+        if not lo < hi:
+            raise ConfigError(f"fit.{key}: must satisfy lo < hi, got {fit[key]}")
+        if not _RULES[_PARAM_RULE[name]](lo):
+            raise ConfigError(f"fit.{key}: lo must be {_PARAM_RULE[name]}, got {fit[key]}")
     return FitConfig(
         free_params=tuple(fit["free_params"]),
         initial_guess=guess,
@@ -291,6 +295,9 @@ def _cmd_fit(cp, out, seed, preset_name):
     config = _fit_config_from(fit, values["params"])
     paths = fit["traces"] or [fit["trace"]]
     runs, noise = fit["monte_carlo_runs"], fit["noise_amplitude"]
+    if (runs > 0) != (noise > 0.0):  # runs alone repeat one fit; noise alone is dropped
+        raise ConfigError("fit: give monte_carlo_runs and noise_amplitude both above 0 "
+                          f"or neither, got {runs} and {noise!r}")
 
     if len(paths) > 1:
         if not fit["shared"]:
@@ -313,10 +320,8 @@ def _cmd_fit(cp, out, seed, preset_name):
 
     trace = read_trace(paths[0])
     if runs > 0:
-        run_reports = []
-        for k in range(runs):
-            noisy = add_noise(trace, noise, seed + k) if noise > 0.0 else trace
-            run_reports.append(_fit_report(fit_trace(noisy, config), config))
+        run_reports = [_fit_report(fit_trace(add_noise(trace, noise, seed + k), config), config)
+                       for k in range(runs)]
         stats = {}
         for name in config.free_params:
             samples = [r["params_hz"][f"{name}_hz"] for r in run_reports]

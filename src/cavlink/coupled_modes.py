@@ -204,29 +204,23 @@ def normalized_power_trace(trace: ComplexTrace) -> ComplexTrace:
     return ComplexTrace(trace.freqs, p / peak, TraceKind.POWER)
 
 
-def _lc_inverse_bare(omega_lc: float, kappa_lc_bare: float, om: np.ndarray) -> np.ndarray:
-    # 1/chi of the bare LC mode; zeros mark the lossless-on-resonance points.
-    return 1j * (omega_lc - om) + 0.5 * kappa_lc_bare
-
-
 #: The seven fields of a SystemParams as plain floats, in PARAM_FIELDS order.
 _theta = attrgetter(*PARAM_FIELDS)
 
 
-def _scattering(om, theta, kind, free=(), lc_inverse=None):
+def _scattering(om, theta, kind, free=(), self_energy=()):
     """The model kernel: S21 or S11 on raw arrays, optionally with dS/dtheta.
 
     ``om`` holds angular probe frequencies and ``theta`` the seven parameters
     as plain floats in PARAM_FIELDS order; callers validate both. With
 
         D(omega) = i(omega_cav - omega) + kappa_cav_tot/2 + g^2 / L(omega),
-        L(omega) = i(omega_lc - omega) + kappa_lc_bare/2,
+        L(omega) = i(omega_lc - omega) + kappa_lc_bare/2 + sum(self_energy),
 
     S21 = sqrt(kappa_cav_1 kappa_cav_2) / D and S11 = 1 - kappa_cav_1 / D.
-    ``lc_inverse`` replaces L (electromechanics adds mechanical self-energies
-    to it); it must still depend on omega_lc and kappa_lc_bare only through
-    the bare terms. Where L vanishes (lossless LC driven exactly on
-    resonance) D -> inf, so S21 -> 0 and S11 -> 1.
+    The ``self_energy`` arrays, which do not depend on theta, are added to L
+    in order. Where L vanishes (lossless LC driven exactly on resonance)
+    D -> inf, so S21 -> 0 and S11 -> 1.
 
     ``free`` lists indices into PARAM_FIELDS. When it is non-empty the kernel
     returns ``(values, jac)`` with ``jac[:, k] = dS/dtheta[free[k]]``, from
@@ -244,8 +238,9 @@ def _scattering(om, theta, kind, free=(), lc_inverse=None):
         If D vanishes at a probe point (lossless system on a normal mode).
     """
     omega_cav, omega_lc, k1, k2, k_loss, k_lc, g = theta
-    if lc_inverse is None:
-        lc_inverse = _lc_inverse_bare(omega_lc, k_lc, om)
+    lc_inverse = 1j * (omega_lc - om) + 0.5 * k_lc
+    for term in self_energy:
+        lc_inverse = lc_inverse + term
     cavity = 1j * (omega_cav - om) + 0.5 * (k1 + k2 + k_loss)
     if g == 0.0:
         live = np.ones(om.shape, dtype=bool)
@@ -312,9 +307,7 @@ def s21(params: SystemParams, freqs) -> ComplexTrace:
     The LC mode appears as a narrow feature riding on the broad cavity peak;
     with a lossless LC the transmission has an exact null at omega_lc.
     """
-    om = hz_to_angular(np.asarray(freqs, dtype=float))
-    vals = _scattering(om, _theta(params), TraceKind.S21)
-    return ComplexTrace(freqs, vals, TraceKind.S21)
+    return _response(params, freqs, TraceKind.S21)
 
 
 def s11(params: SystemParams, freqs) -> ComplexTrace:
@@ -324,9 +317,15 @@ def s11(params: SystemParams, freqs) -> ComplexTrace:
     A single-port critically coupled bare cavity (kappa_cav_1 = kappa_cav_tot)
     reflects -1 on resonance; far off resonance S11 -> 1.
     """
+    return _response(params, freqs, TraceKind.S11)
+
+
+def _response(params, freqs, kind, self_energy=()) -> ComplexTrace:
+    """The kernel's ``kind`` trace of ``params`` on a Hz grid, with the
+    rad/s ``self_energy`` terms added to the LC's inverse susceptibility."""
     om = hz_to_angular(np.asarray(freqs, dtype=float))
-    vals = _scattering(om, _theta(params), TraceKind.S11)
-    return ComplexTrace(freqs, vals, TraceKind.S11)
+    vals = _scattering(om, _theta(params), kind, self_energy=self_energy)
+    return ComplexTrace(freqs, vals, kind)
 
 
 def mode_matrix(params: SystemParams) -> np.ndarray:
@@ -345,11 +344,11 @@ def mode_matrix(params: SystemParams) -> np.ndarray:
     )
 
 
-def _mode_solve(a, d, g):
-    """Closed-form eigen-solve of [[a, g], [g, d]], broadcasting over arrays.
-
-    ``a`` and ``d`` are the complex cavity and LC diagonals and ``g >= 0``
-    the real coupling; none may be subnormal. The eigenvalues are
+def _dressed(omega_cav, omega_lc, k1, k2, k_loss, k_lc, g):
+    """Closed-form eigen-solve of :func:`mode_matrix` on the seven fields in
+    PARAM_FIELDS order, any of them arrays and none subnormal. With the
+    diagonals a = omega_cav - i kappa_cav_tot/2, d = omega_lc - i kappa_lc_bare/2
+    and the real coupling g >= 0, the eigenvalues are
 
         lam = (a + d)/2 +/- sqrt(((a - d)/2)^2 + g^2)
 
@@ -359,9 +358,11 @@ def _mode_solve(a, d, g):
     computed pull. The aligned branch has the larger cavity weight
     |lam - d|^2 / (|lam - d|^2 + g^2), since |r| >= g; the weights sum to 1.
 
-    Returns ``(lam_cav, lam_lc, cavity_weight)``; the weight is 0.5 at a
-    symmetric crossing and 1 when g = 0.
+    Returns ``(lam_cav, lam_lc, cavity_weight, fifty_fifty)``: the weight is
+    0.5 at a symmetric crossing and 1 when g = 0, and ``fifty_fifty`` is true
+    where the branches are too evenly hybridized to name.
     """
+    a, d = omega_cav - 0.5j * (k1 + k2 + k_loss), omega_lc - 0.5j * k_lc
     h = 0.5 * (a - d)
     # Work in units of m = max(|h|, g) so that no square under- or overflows.
     # Then |r / m| >= 1 whenever g > 0, and r / m is 0 only when g = h = 0.
@@ -374,18 +375,9 @@ def _mode_solve(a, d, g):
     sm = sm * (1 - 2 * (hm.real * sm.real + hm.imag * sm.imag < 0.0))
     ratio = gm / (hm + sm + (g == 0.0))  # g / r, at most 1 in magnitude
     pull = -g * ratio
-    return a - pull, d + pull, 1.0 / (1.0 + abs(ratio) ** 2)
-
-
-def _dressed(omega_cav, omega_lc, k1, k2, k_loss, k_lc, g):
-    """:func:`_mode_solve` on the seven fields in PARAM_FIELDS order, any of
-    them arrays, plus ``fifty_fifty``: true where the branches are too evenly
-    hybridized to name."""
-    lam_cav, lam_lc, weight = _mode_solve(
-        omega_cav - 0.5j * (k1 + k2 + k_loss), omega_lc - 0.5j * k_lc, g
-    )
+    weight = 1.0 / (1.0 + abs(ratio) ** 2)
     # the LC-like branch carries the complementary weight 1 - weight
-    return lam_cav, lam_lc, weight, weight - (1.0 - weight) < 1e-9
+    return a - pull, d + pull, weight, weight - (1.0 - weight) < 1e-9
 
 
 def _bare_detuning(splitting, params):
@@ -569,7 +561,7 @@ def _rate_budget(k1, k2, k_loss, k_lc, g, delta_eff):
     array. Returns the :class:`DerivedRates` fields that follow
     ``delta_eff``, in order, and then a flag that is true where the rates
     diverge (g > 0 with a lossless cavity at zero detuning); the rates
-    there are placeholders. As in :func:`_mode_solve`, guards add booleans
+    there are placeholders. As in :func:`_dressed`, guards add booleans
     instead of branching, so scalars stay Python floats. Squares are
     products: Python's ``x**2`` is libm ``pow``, which rounds differently
     from numpy's square and raises OverflowError where a product gives inf.

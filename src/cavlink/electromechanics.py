@@ -24,9 +24,7 @@ from .coupled_modes import (
     ComplexTrace,
     SystemParams,
     TraceKind,
-    _lc_inverse_bare,
-    _scattering,
-    _theta,
+    _response,
     dressed_modes,
     effective_rates,
     resolved_sideband_ratio,
@@ -172,7 +170,7 @@ def multi_mode_omit(pumped, modes, couplings, omega_pump, freqs) -> ComplexTrace
             )
 
     om = hz_to_angular(np.asarray(freqs, dtype=float))
-    lc_inverse = _lc_inverse_bare(pumped.omega_lc, pumped.kappa_lc_bare, om)
+    self_energy = []
     for mode, coupling in zip(modes, couplings):
         if coupling == 0.0:
             continue
@@ -181,9 +179,8 @@ def multi_mode_omit(pumped, modes, couplings, omega_pump, freqs) -> ComplexTrace
             raise SingularResponseError(
                 "probe grid hits an undamped mechanical sideband exactly"
             )
-        lc_inverse = lc_inverse + coupling * coupling / den
-    vals = _scattering(om, _theta(pumped), TraceKind.S11, lc_inverse=lc_inverse)
-    return ComplexTrace(freqs, vals, TraceKind.S11)
+        self_energy.append(coupling * coupling / den)
+    return _response(pumped, freqs, TraceKind.S11, self_energy)
 
 
 def transparency_signal(pumped, on: ComplexTrace) -> ComplexTrace:
@@ -202,5 +199,5 @@ def transparency_signal(pumped, on: ComplexTrace) -> ComplexTrace:
         raise InvalidInputError(
             f"transparency_signal needs the pumped s11 trace, got {on.kind.value}"
         )
-    off = _scattering(hz_to_angular(on.freqs), _theta(pumped), TraceKind.S11)
-    return ComplexTrace(on.freqs, np.abs(on.values - off) ** 2, TraceKind.POWER)
+    off = _response(pumped, on.freqs, TraceKind.S11)
+    return ComplexTrace(on.freqs, np.abs(on.values - off.values) ** 2, TraceKind.POWER)

@@ -34,7 +34,6 @@ from .errors import (
     PeakAmbiguityError,
     ValidityWarning,
     WindowTooNarrowError,
-    _RULES,
     _require,
 )
 from .units import TWO_PI, angular_to_hz
@@ -159,8 +158,10 @@ class FitConfig:
     initial_guess : SystemParams
         Starting point; also supplies the fixed parameters.
     bounds : dict
-        Optional per-parameter (lo, hi) in rad/s. Rates default to
-        [0, inf), frequencies to (0, inf).
+        Optional (lo, hi) in rad/s per free parameter; ``lo`` must obey the
+        parameter's domain rule. After construction it holds the whole box,
+        one pair per free parameter: rates default to [0, inf), frequencies
+        to [5e-324, inf).
     max_iterations : int
     tolerance : float
         Relative stopping threshold on cost reduction and step size.
@@ -185,13 +186,17 @@ class FitConfig:
             raise InvalidInputError("free_params must not repeat")
         ordered = tuple(n for n in PARAM_FIELDS if n in free)
         object.__setattr__(self, "free_params", ordered)
-        bounds = dict(self.bounds)
-        for name, pair in bounds.items():
+        floor = {"positive": 5e-324, "non-negative": 0.0}  # each rule's least value
+        bounds = {name: (floor[_PARAM_RULE[name]], np.inf) for name in ordered}
+        for name, pair in dict(self.bounds).items():
             if name not in PARAM_FIELDS:
                 raise InvalidInputError(f"bounds given for unknown parameter {name!r}")
+            if name not in ordered:
+                raise InvalidInputError(f"bounds given for fixed parameter {name!r}")
             lo, hi = float(pair[0]), float(pair[1])
             if not lo < hi:
                 raise InvalidInputError(f"bounds for {name!r} must satisfy lo < hi")
+            _require(f"lower bound for {name!r}", lo, _PARAM_RULE[name], "rad/s")
             bounds[name] = (lo, hi)
             value = getattr(self.initial_guess, name)
             if not lo <= value <= hi:
@@ -204,10 +209,6 @@ class FitConfig:
             raise InvalidInputError(f"max_iterations must be an integer, got {iterations!r}")
         _require("max_iterations", iterations, "positive")
         _require("tolerance", self.tolerance, "in (0, 1)")
-
-    def effective_bounds(self, name: str) -> tuple:
-        floor = 5e-324 if _PARAM_RULE[name] == "positive" else 0.0  # the rule's least value
-        return self.bounds.get(name, (floor, np.inf))
 
 
 @dataclass(frozen=True)
@@ -315,11 +316,9 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
         )
 
     base = config.initial_guess
-    lo = np.array([config.effective_bounds(n)[0] for n in names])
-    hi = np.array([config.effective_bounds(n)[1] for n in names])
+    lo, hi = np.array([config.bounds[n] for n in names]).T
     x = np.array([getattr(base, n) for n in names], dtype=float)
 
-    domain = [_RULES[_PARAM_RULE[n]] for n in names]  # the model's domain
     free = tuple(PARAM_FIELDS.index(n) for n in names)
     theta = list(_theta(base))
     om = TWO_PI * trace.freqs
@@ -336,9 +335,9 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
         return _residuals(om, theta, trace.kind, data, free if with_jac else ())
 
     def cost_of(xv):
-        # A trial outside the model's domain or with a non-finite model
-        # counts as infinitely costly.
-        if not all(inside(v) for inside, v in zip(domain, xv.tolist())):
+        # np.clip keeps a trial inside the box, which lies in the model's
+        # domain; a non-finite trial or model counts as infinitely costly.
+        if not np.all(np.isfinite(xv)):
             return np.inf
         r = evaluate(xv, False)
         if not np.all(np.isfinite(r)):

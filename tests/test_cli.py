@@ -323,6 +323,32 @@ class TestFit:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_monte_carlo_keys_both_zero_run_one_fit(self, tmp_path, capsys):
+        trace_path, _ = self.make_trace(tmp_path)
+        plain = write_ini(tmp_path, fit_sections(f"trace = {trace_path}\n"), name="plain.ini")
+        zeros = write_ini(tmp_path, fit_sections(
+            f"trace = {trace_path}\nmonte_carlo_runs = 0\nnoise_amplitude = 0\n"))
+        for cfg, name in ((plain, "plain.json"), (zeros, "zeros.json")):
+            assert run(["fit", "--config", cfg, "--out", str(tmp_path / name),
+                        "--preset", "hat270"]) == 0
+        assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "zeros.json").read_bytes()
+
+    @pytest.mark.parametrize("lines, message", [
+        ("bound_g_hz = 2e8, 1e8\n", "fit.bound_g_hz: must satisfy lo < hi, got 2e8, 1e8"),
+        ("bound_g_hz = -1e6, 1e8\n", "fit.bound_g_hz: lo must be non-negative, got -1e6, 1e8"),
+        ("bound_omega_cav_hz = 0, 8e9\n",
+         "fit.bound_omega_cav_hz: lo must be positive, got 0, 8e9"),
+        ("bound_g_hz = 1e8\n", "fit.bound_g_hz: expected 'lo,hi'"),
+        ("bound_g_hz = low, high\n", "fit.bound_g_hz: bounds must be numbers"),
+    ], ids=["unordered", "negative_rate", "zero_frequency", "one_number", "not_numbers"])
+    def test_bad_bounds_named_in_errors(self, tmp_path, capsys, lines, message):
+        trace_path, _ = self.make_trace(tmp_path)
+        cfg = write_ini(tmp_path, fit_sections(f"trace = {trace_path}\n{lines}"))
+        out = tmp_path / "fit.json"
+        assert run(["fit", "--config", cfg, "--out", str(out), "--preset", "hat270"]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_free_params_rejected(self, tmp_path, capsys):
         trace_path, _ = self.make_trace(tmp_path)
         cfg = write_ini(tmp_path, f"[fit]\nfree_params =\ntrace = {trace_path}\n")
@@ -370,6 +396,13 @@ class TestSweep:
         out = tmp_path / "s.csv"
         assert run(["sweep", "--config", cfg, "--out", str(out), "--preset", "hat270"]) == 2
         assert "sweep.values_hz" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_numeric_values_rejected(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path, "[sweep]\nfield = g\nvalues_hz = 20e6, many\n")
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--config", cfg, "--out", str(out), "--preset", "hat270"]) == 2
+        assert "sweep.values_hz: entries must be numbers" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_default_targets(self, tmp_path, capsys):
@@ -725,8 +758,14 @@ class TestConfigKeys:
          ("monte_carlo_runs", "traces")),
         ("fit", "free_params = g\ntraces = {data}, {data}\nshared = g\nnoise_amplitude = 0.01\n",
          ("noise_amplitude", "traces")),
+        # noise without runs is never applied; runs without noise repeat one fit
+        ("fit", "free_params = g\ntrace = {data}\nnoise_amplitude = 0.5\n",
+         ("noise_amplitude", "monte_carlo_runs")),
+        ("fit", "free_params = g\ntrace = {data}\nmonte_carlo_runs = 2\n",
+         ("monte_carlo_runs", "noise_amplitude")),
     ], ids=["values_and_start", "values_and_stop", "values_and_points", "trace_and_traces",
-            "bound_of_fixed_param", "monte_carlo_runs_and_traces", "noise_and_traces"])
+            "bound_of_fixed_param", "monte_carlo_runs_and_traces", "noise_and_traces",
+            "noise_without_runs", "runs_without_noise"])
     def test_keys_a_run_would_drop_refused(self, tmp_path, capsys, command, text, keys):
         self.configs(tmp_path)  # writes data.csv
         text = f"[{command}]\n" + text.format(data=tmp_path / "data.csv")

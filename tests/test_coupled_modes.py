@@ -84,7 +84,7 @@ class TestSystemParams:
             else:
                 with pytest.raises(InvalidInputError, match=rf"^{name} must be {rule} and finite"):
                     base.replace(**{name: value})
-            lo, hi = FitConfig((name,), base).effective_bounds(name)
+            lo, hi = FitConfig((name,), base).bounds[name]
             assert (lo, hi) == (floor, np.inf)
             assert (lo <= value < hi) == inside
             if name in SWEEPABLE_FIELDS:

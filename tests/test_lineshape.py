@@ -1,5 +1,7 @@
 """Width extraction and model fitting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import merged_grid, reference_params, random_params
@@ -149,6 +151,34 @@ class TestFitConfig:
                 initial_guess=reference_params(),
                 bounds={"g": (2.0, 1.0)},
             )
+
+    def test_bound_on_fixed_parameter_refused(self):
+        p = reference_params()
+        with pytest.raises(InvalidInputError, match="fixed parameter 'omega_cav'"):
+            FitConfig(free_params=("g",), initial_guess=p, bounds={"omega_cav": (0.0, 1e12)})
+
+    @pytest.mark.parametrize("name, lo", [
+        ("g", -1e9), ("kappa_lc_bare", -np.inf), ("omega_cav", 0.0), ("omega_lc", -1.0),
+    ])
+    def test_bound_below_domain_refused(self, name, lo):
+        p = reference_params()
+        rule = "positive" if name in ("omega_cav", "omega_lc") else "non-negative"
+        with pytest.raises(InvalidInputError,
+                           match=rf"^lower bound for '{name}' must be {rule} and finite"):
+            FitConfig(free_params=(name,), initial_guess=p, bounds={name: (lo, 1e12)})
+
+    def test_bounds_hold_the_whole_box(self):
+        p = reference_params()
+        cfg = FitConfig(free_params=("g", "omega_lc", "kappa_cav_1"), initial_guess=p,
+                        bounds={"g": (0.0, 2.0 * p.g)})
+        assert cfg.bounds == {
+            "omega_lc": (5e-324, np.inf),
+            "kappa_cav_1": (0.0, np.inf),
+            "g": (0.0, 2.0 * p.g),
+        }
+        assert list(cfg.bounds) == list(cfg.free_params)
+        # a copy re-validates the filled box and keeps it as it is
+        assert dataclasses.replace(cfg, initial_guess=p).bounds == cfg.bounds
 
     def test_iteration_and_tolerance_validation(self):
         with pytest.raises(InvalidInputError, match="max_iterations"):
