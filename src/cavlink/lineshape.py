@@ -220,8 +220,8 @@ class FitResult:
     ``residual_norm`` is the RMS of the residual vector.
     ``cost_trajectory`` holds the cost at the start and after each accepted
     iteration (monotone non-increasing by construction).
-    ``model_evaluations`` counts calls of the model kernel, with or without
-    the Jacobian. ``termination`` says why the fit stopped: ``cost_floor``,
+    ``model_evaluations`` counts calls of the model kernel, each of which
+    also gives the Jacobian. ``termination`` says why the fit stopped: ``cost_floor``,
     ``relative_drop``, ``relative_step``, ``damping_saturated`` or
     ``max_iterations``. The pooled summary of :func:`multi_trace_fit` sums
     its members' evaluations and leaves ``termination`` empty.
@@ -237,34 +237,27 @@ class FitResult:
     termination: str = ""
 
 
-def _residuals(om, theta, kind, data, free=()):
-    """Residual vector of one trace; real-valued.
+def _residuals(om, theta, kind, data, free):
+    """Residual vector of one trace and its Jacobian dr/dtheta[free].
 
     ``om``, ``theta`` and ``free`` are as for the model kernel; ``data`` is
-    the trace's values. Complex kinds stack the real and imaginary parts.
+    the trace's values. Returns ``(r, jac)``, both real-valued, with the
+    closed-form Jacobian. Complex kinds stack the real and imaginary parts.
     Power traces profile out the scale of p = |S21|^2 (variable projection):
-    r = s p - data with s = (p . data) / (p . p). With ``free`` non-empty,
-    returns ``(r, jac)`` with the closed-form Jacobian dr/dtheta[free]
-    (for power, s dp + p ds with ds = (data . dp - 2 s p . dp) / (p . p)).
+    r = s p - data with s = (p . data) / (p . p), so dr = s dp + p ds with
+    ds = (data . dp - 2 s p . dp) / (p . p).
     """
     power = kind is TraceKind.POWER
-    out = _scattering(om, theta, TraceKind.S21 if power else kind, free)
-    model, jac = out if free else (out, None)
+    model, jac = _scattering(om, theta, TraceKind.S21 if power else kind, free)
     if not power:
         diff = model - data
-        r = np.concatenate([diff.real, diff.imag])
-        if jac is None:
-            return r
-        return r, np.concatenate([jac.real, jac.imag])
+        return np.concatenate([diff.real, diff.imag]), np.concatenate([jac.real, jac.imag])
     p = np.abs(model) ** 2
     norm = p @ p or 1.0  # an all-zero model: p = dp = 0, so s = 0
     s = (p @ data) / norm
-    r = s * p - data
-    if jac is None:
-        return r
     dp = 2.0 * (model.real[:, None] * jac.real + model.imag[:, None] * jac.imag)
     ds = (data @ dp - 2.0 * s * (p @ dp)) / norm
-    return r, s * dp + np.outer(p, ds)
+    return s * p - data, s * dp + np.outer(p, ds)
 
 
 def _check_degenerate(jac, names):
@@ -296,7 +289,9 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
     the damping grows when a step fails to reduce the cost and shrinks when
     it succeeds, and steps are clipped to the parameter bounds. J is the
     closed-form Jacobian of the model kernel (for power traces, of the
-    model times its least-squares scale to the data). The fit stops
+    model times its least-squares scale to the data). Each trial costs one
+    kernel call, which gives its cost and its J together; an accepted
+    trial's J is the next step's. The fit stops
     when the relative cost reduction or the relative step drops below
     ``config.tolerance``; hitting ``max_iterations`` first yields
     ``converged=False`` rather than an exception.
@@ -327,27 +322,22 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
         data = data / data.max()
     evaluations = 0
 
-    def evaluate(xv, with_jac):
+    def evaluate(xv):
+        # One kernel call gives the cost, the residuals and the Jacobian.
+        # np.clip keeps a trial inside the box, which lies in the model's
+        # domain; a non-finite trial or residual counts as infinitely costly.
         nonlocal evaluations
+        if not np.all(np.isfinite(xv)):
+            return np.inf, None, None
         evaluations += 1
         for index, value in zip(free, xv):
             theta[index] = float(value)
-        return _residuals(om, theta, trace.kind, data, free if with_jac else ())
+        r, jac = _residuals(om, theta, trace.kind, data, free)
+        return (float(r @ r) if np.all(np.isfinite(r)) else np.inf), r, jac
 
-    def cost_of(xv):
-        # np.clip keeps a trial inside the box, which lies in the model's
-        # domain; a non-finite trial or model counts as infinitely costly.
-        if not np.all(np.isfinite(xv)):
-            return np.inf
-        r = evaluate(xv, False)
-        if not np.all(np.isfinite(r)):
-            return np.inf
-        return float(r @ r)
-
-    r_cur, jac = evaluate(x, True)
+    cost, r_cur, jac = evaluate(x)
     if not np.all(np.isfinite(r_cur)):
         raise InvalidInputError("initial guess is outside the model's domain")
-    cost = float(r_cur @ r_cur)
     m = r_cur.size
     trajectory = [cost]
     _check_degenerate(jac, names)
@@ -375,19 +365,18 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
                 lam *= 10.0
                 continue
             x_new = np.clip(x + step / norms, lo, hi)
-            cost_new = cost_of(x_new)
+            cost_new, r_new, jac_new = evaluate(x_new)
             if cost_new < cost:
                 rel_drop = (cost - cost_new) / max(cost, 1e-300)
                 rel_step = float(
                     np.max(np.abs(x_new - x) / np.maximum(np.abs(x), 1.0))
                 )
-                x, cost = x_new, cost_new
+                # The accepted trial's Jacobian is the next step's; the
+                # last one also gives the covariance.
+                x, cost, r_cur, jac = x_new, cost_new, r_new, jac_new
                 trajectory.append(cost)
                 lam = max(lam / 3.0, 1e-12)
                 accepted = True
-                # The Jacobian at every accepted point; the last one also
-                # gives the covariance.
-                r_cur, jac = evaluate(x, True)
                 if rel_drop <= config.tolerance:
                     converged, termination = True, "relative_drop"
                 elif rel_step <= config.tolerance:

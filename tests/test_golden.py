@@ -6,8 +6,9 @@ writes against ``tests/golden/``:
 * ``simulate`` traces must match byte for byte;
 * fit reports, sweep CSVs and omit outputs must keep their keys, row order
   and non-numeric text exactly, while numbers may move by at most 1e-12
-  relative (they pass through the dressed-mode solve, whose last digits
-  depend on how the 2x2 eigenproblem is evaluated).
+  relative (fits pass through LAPACK ``solve`` and ``pinv`` and BLAS
+  products, sweeps and omit runs through libm, and the last digits of
+  these may differ between builds and machines).
 
 Regenerate the expected files (only after a deliberate output change) with
 
@@ -200,8 +201,8 @@ def test_cli_output_matches_golden(name, tmp_path, capsys):
 
 
 def test_fit_case_needs_few_kernel_calls(tmp_path, monkeypatch):
-    # At most 17 calls of the model kernel: a fifth of the 89 model
-    # evaluations a finite-difference Jacobian costs on this fit.
+    # At most 8 calls of the model kernel, one at the start and one per
+    # trial step (this fit takes 6); a finite-difference Jacobian cost 89.
     calls, results = [], []
     kernel, fit = lineshape._scattering, cli.fit_trace
 
@@ -217,7 +218,7 @@ def test_fit_case_needs_few_kernel_calls(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "fit_trace", recording)
     _run_case("fit", str(tmp_path))
     assert len(results) == 1
-    assert results[0].model_evaluations == len(calls) <= 17
+    assert results[0].model_evaluations == len(calls) <= 8
 
 
 @pytest.mark.parametrize("points, fires", [(801, True), (3201, False)])

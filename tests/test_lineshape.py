@@ -414,12 +414,16 @@ class TestFitDiagnostics:
 
         monkeypatch.setattr(lineshape, "_scattering", counting)
         truth = reference_params()
-        trace = add_noise(s21(truth, merged_grid(truth)), 0.01, seed=7)
-        cfg = FitConfig(free_params=FREE, initial_guess=perturbed_guess(truth, FREE))
-        result = fit_trace(trace, cfg)
-        assert result.model_evaluations == len(calls)
-        # one call with the Jacobian at the start and at every accepted point
-        assert sum(calls) == len(result.cost_trajectory)
+        trace = s21(truth, merged_grid(truth))
+        # Half an LC linewidth and 30% of g away, some trials are rejected.
+        guess = truth.replace(
+            omega_lc=truth.omega_lc + 0.5 * effective_rates(truth).kappa_lc_tot,
+            g=0.7 * truth.g,
+        )
+        result = fit_trace(trace, FitConfig(free_params=FREE, initial_guess=guess))
+        assert result.model_evaluations == len(calls) > len(result.cost_trajectory)
+        # one call at the start and one per trial, each with the Jacobian
+        assert all(calls)
 
     def test_joint_summary_sums_evaluations(self):
         truth = reference_params()
@@ -682,7 +686,7 @@ class TestAnalyticJacobian:
             up[index] += h
             if not one_sided:
                 down[index] -= h
-            trials = [_residuals(om, t, kind, data) for t in (up, down)]
+            trials = [_residuals(om, t, kind, data, free)[0] for t in (up, down)]
             fd = (trials[0] - trials[1]) / (h if one_sided else 2.0 * h)
             scale = np.max(np.abs(jac[:, col]))
             assert np.max(np.abs(fd - jac[:, col])) <= 1e-5 * scale, (index, scale)
