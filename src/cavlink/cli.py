@@ -27,7 +27,7 @@ from .coupled_modes import (
     s11,
     s21,
 )
-from .design import ALL_PRESETS, HAT_PRESETS, SweepSpec, SweepTargets, run_sweep
+from .design import ALL_PRESETS, HAT_PRESETS, SWEEPABLE_FIELDS, SweepSpec, SweepTargets, run_sweep
 from .electromechanics import (
     MechanicalMode,
     coupling_for_damping,
@@ -101,9 +101,11 @@ _TABLES = {
         "start_hz": (float, None, _REQUIRED),
         "stop_hz": (float, None, _REQUIRED),
         "points": (int, None, _REQUIRED),
-        "band_lo_hz": (float, None, SweepTargets.coupling_band_hz[0]),
-        "band_hi_hz": (float, None, SweepTargets.coupling_band_hz[1]),
-        **{name: (float, None, getattr(SweepTargets, name)) for name in _TARGETS},
+        "band_lo_hz": (float, "non-negative", SweepTargets.coupling_band_hz[0]),
+        "band_hi_hz": (float, "non-negative", SweepTargets.coupling_band_hz[1]),
+        "omega_m_hz": ("Hz", "positive", SweepTargets.omega_m_hz),
+        "sideband_threshold": (float, "positive", SweepTargets.sideband_threshold),
+        "max_dissipation_fraction": (float, "in [0, 1]", SweepTargets.max_dissipation_fraction),
     }},
     "omit": {"params": _PARAMS, "grid": _GRID, "omit": {
         **_MODE,
@@ -387,6 +389,10 @@ def _cell(value) -> str:
 def _cmd_sweep(cp, out, preset_name):
     values = _read(cp, _TABLES["sweep"], preset_name)
     sweep = values["sweep"]
+    if sweep["field"] not in SWEEPABLE_FIELDS:
+        raise _unknown("sweep.field", sweep["field"].lower(), "field", SWEEPABLE_FIELDS)
+    if not sweep["band_lo_hz"] < sweep["band_hi_hz"]:
+        raise ConfigError("sweep.band_hi_hz: must be greater than sweep.band_lo_hz")
     spec = SweepSpec(
         base_params=values["params"],
         swept_field=sweep["field"],

@@ -368,9 +368,7 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
             cost_new, r_new, jac_new = evaluate(x_new)
             if cost_new < cost:
                 rel_drop = (cost - cost_new) / max(cost, 1e-300)
-                rel_step = float(
-                    np.max(np.abs(x_new - x) / np.maximum(np.abs(x), 1.0))
-                )
+                rel_step = float(np.max(np.abs(x_new - x) / np.maximum(np.abs(x), 1.0)))
                 # The accepted trial's Jacobian is the next step's; the
                 # last one also gives the covariance.
                 x, cost, r_cur, jac = x_new, cost_new, r_new, jac_new

@@ -458,6 +458,40 @@ class TestSweep:
         assert run(["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv"),
                     "--preset", "design"]) == 2
 
+    def test_unknown_field_names_the_closest(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path, "[sweep]\nfield = G\nvalues_hz = 20e6\n")
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--config", cfg, "--out", str(out), "--preset", "hat270"]) == 2
+        assert "sweep.field: unknown field; did you mean 'g'?" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("lines, message", [
+        ("band_lo_hz = 3e6\nband_hi_hz = 1e6\n",
+         "sweep.band_hi_hz: must be greater than sweep.band_lo_hz"),
+        ("band_lo_hz = -1\n", "sweep.band_lo_hz: must be non-negative, got -1"),
+        ("band_hi_hz = -1\n", "sweep.band_hi_hz: must be non-negative, got -1"),
+        ("omega_m_hz = 1e308\n", "sweep.omega_m_hz: must be at most 2.86e+307 Hz, got 1e308"),
+        ("omega_m_hz = 0\n", "sweep.omega_m_hz: must be positive, got 0"),
+        ("sideband_threshold = 0\n", "sweep.sideband_threshold: must be positive, got 0"),
+        ("max_dissipation_fraction = 1.5\n",
+         "sweep.max_dissipation_fraction: must be in [0, 1], got 1.5"),
+    ], ids=["band_unordered", "band_lo_negative", "band_hi_negative",
+            "omega_m_overflows", "omega_m_zero", "threshold_zero", "fraction_above_one"])
+    def test_bad_targets_named_in_errors(self, tmp_path, capsys, lines, message):
+        cfg = write_ini(tmp_path, "[sweep]\nfield = g\nvalues_hz = 20e6\n" + lines)
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--config", cfg, "--out", str(out), "--preset", "hat270"]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_targets_on_their_edges_run(self, tmp_path, capsys):
+        for lines in ("band_lo_hz = 0\nmax_dissipation_fraction = 0\n",
+                      "omega_m_hz = 2.86e307\nmax_dissipation_fraction = 1\n"):
+            cfg = write_ini(tmp_path, "[sweep]\nfield = g\nvalues_hz = 20e6\n" + lines)
+            out = tmp_path / "s.csv"
+            assert run(["sweep", "--config", cfg, "--out", str(out), "--preset", "hat270"]) == 0
+            assert len(out.read_text().splitlines()) == 4
+
 
 def omit_grid_for(preset_name, halfwidth_hz=6000.0, points=2401):
     center = angular_to_hz(dressed_modes(HAT_PRESETS[preset_name]).omega_lc)
