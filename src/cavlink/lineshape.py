@@ -221,10 +221,11 @@ class FitResult:
     ``cost_trajectory`` holds the cost at the start and after each accepted
     iteration (monotone non-increasing by construction).
     ``model_evaluations`` counts calls of the model kernel, each of which
-    also gives the Jacobian. ``termination`` says why the fit stopped: ``cost_floor``,
-    ``relative_drop``, ``relative_step``, ``damping_saturated`` or
-    ``max_iterations``. The pooled summary of :func:`multi_trace_fit` sums
-    its members' evaluations and leaves ``termination`` empty.
+    also gives the Jacobian. ``termination`` says why the fit stopped:
+    ``cost_floor``, ``relative_drop``, ``relative_step``,
+    ``damping_saturated`` or ``max_iterations``. The pooled summary of
+    :func:`multi_trace_fit` sums its members' evaluations and leaves
+    ``termination`` empty.
     """
 
     params: SystemParams
@@ -291,10 +292,10 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
     closed-form Jacobian of the model kernel (for power traces, of the
     model times its least-squares scale to the data). Each trial costs one
     kernel call, which gives its cost and its J together; an accepted
-    trial's J is the next step's. The fit stops
-    when the relative cost reduction or the relative step drops below
-    ``config.tolerance``; hitting ``max_iterations`` first yields
-    ``converged=False`` rather than an exception.
+    trial's J is the next step's. The fit stops when the relative cost
+    reduction or the relative step drops below ``config.tolerance``;
+    hitting ``max_iterations`` first yields ``converged=False`` rather
+    than an exception.
 
     Raises
     ------
@@ -323,7 +324,6 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
     evaluations = 0
 
     def evaluate(xv):
-        # One kernel call gives the cost, the residuals and the Jacobian.
         # np.clip keeps a trial inside the box, which lies in the model's
         # domain; a non-finite trial or residual counts as infinitely costly.
         nonlocal evaluations
@@ -345,10 +345,8 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
     lam = 1e-3
     converged = False
     termination = "max_iterations"
-    iterations = 0
     floor = 1e-30 * m
-    for _ in range(config.max_iterations):
-        iterations += 1
+    for iterations in range(1, config.max_iterations + 1):
         if cost <= floor:
             converged, termination = True, "cost_floor"
             break
@@ -368,7 +366,9 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
             cost_new, r_new, jac_new = evaluate(x_new)
             if cost_new < cost:
                 rel_drop = (cost - cost_new) / max(cost, 1e-300)
-                rel_step = float(np.max(np.abs(x_new - x) / np.maximum(np.abs(x), 1.0)))
+                rel_step = float(
+                    np.max(np.abs(x_new - x) / np.maximum(np.abs(x), 1.0))
+                )
                 # The accepted trial's Jacobian is the next step's; the
                 # last one also gives the covariance.
                 x, cost, r_cur, jac = x_new, cost_new, r_new, jac_new
