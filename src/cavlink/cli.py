@@ -18,6 +18,7 @@ import warnings
 import numpy as np
 
 from .coupled_modes import (
+    DERIVED_RATE_KEYS,
     PARAM_FIELDS,
     RATE_FIELDS,
     SystemParams,
@@ -114,10 +115,11 @@ _TABLES = {
         "pump_offset_hz": ("rad/s", None, 0.0),
     }, "mode.N": _MODE},
 }
-# Key -> its alternative: a section may give one or neither, not both.
+# Key -> its alternative, or a key whose run would drop it: a section may give
+# one or neither, not both.
 _EITHER = {"trace": "traces", "monte_carlo_runs": "traces", "noise_amplitude": "traces",
-           "start_hz": "values_hz", "stop_hz": "values_hz", "points": "values_hz",
-           "coupling_hz": "gamma_e_hz"}
+           "shared": "trace", "start_hz": "values_hz", "stop_hz": "values_hz",
+           "points": "values_hz", "coupling_hz": "gamma_e_hz"}
 
 
 def _refused(cp, section, key, why):
@@ -304,6 +306,9 @@ def _cmd_fit(cp, out, seed, preset_name):
     if len(paths) > 1:
         if not fit["shared"]:
             raise ConfigError("fit.shared: required for multi-trace fits")
+        for name in fit["shared"]:
+            if name not in config.free_params:
+                raise ConfigError(f"fit.shared: {name} is not in fit.free_params")
         traces = [read_trace(p) for p in paths]
         multi = multi_trace_fit(traces, tuple(fit["shared"]), config)
         report = {
@@ -358,25 +363,6 @@ def _sweep_values(sweep) -> tuple:
     return tuple(np.linspace(sweep["start_hz"], sweep["stop_hz"], sweep["points"]))
 
 
-_SWEEP_COLUMNS = (
-    "value_hz",
-    "valid",
-    "delta_eff_hz",
-    "kappa_cav_tot_hz",
-    "kappa_eff_1_hz",
-    "kappa_eff_2_hz",
-    "kappa_eff_loss_hz",
-    "kappa_lc_loss_hz",
-    "kappa_lc_tot_hz",
-    "dissipation_fraction",
-    "within_validity",
-    "in_coupling_band",
-    "sideband_resolved",
-    "dissipation_ok",
-    "message",
-)
-
-
 def _cell(value) -> str:
     """One sweep CSV cell: numbers exact, flags as 0/1, absent values blank."""
     if value is None:
@@ -402,17 +388,14 @@ def _cmd_sweep(cp, out, preset_name):
             **{name: sweep[name] for name in _TARGETS},
         ),
     )
-    lines = ["# cavlink sweep", f"# field = {sweep['field']}", ",".join(_SWEEP_COLUMNS)]
+    verdicts = ("in_coupling_band", "sideband_resolved", "dissipation_ok")
+    header = ("value_hz", "valid", *DERIVED_RATE_KEYS, *verdicts, "message")
+    lines = ["# cavlink sweep", f"# field = {sweep['field']}", ",".join(header)]
     for row in run_sweep(spec).rows:
-        named = {"value_hz": row.value_hz, "valid": row.valid, "message": row.message}
+        middle = [None] * (len(header) - 3)  # an invalid row's rates and verdicts are blank
         if row.valid:
-            named.update(
-                row.rates.to_hz(),
-                in_coupling_band=row.in_coupling_band,
-                sideband_resolved=row.sideband_resolved,
-                dissipation_ok=row.dissipation_ok,
-            )
-        lines.append(",".join(_cell(named.get(name)) for name in _SWEEP_COLUMNS))
+            middle = [*row.rates.to_hz().values(), *(getattr(row, v) for v in verdicts)]
+        lines.append(",".join(_cell(c) for c in (row.value_hz, row.valid, *middle, row.message)))
     write_text_atomic(out, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -464,6 +464,15 @@ def dressed_modes(params: SystemParams) -> DressedModes:
     )
 
 
+#: The report keys of :meth:`DerivedRates.to_hz`, in order: the rates in Hz,
+#: then the dissipation fraction and the validity flag as they are.
+DERIVED_RATE_KEYS = (
+    "delta_eff_hz", "kappa_cav_tot_hz", "kappa_eff_1_hz", "kappa_eff_2_hz",
+    "kappa_eff_loss_hz", "kappa_lc_loss_hz", "kappa_lc_tot_hz",
+    "dissipation_fraction", "within_validity",
+)
+
+
 @dataclass(frozen=True)
 class DerivedRates:
     """Cavity-mediated rate budget of the LC mode, all rates in rad/s.
@@ -494,21 +503,9 @@ class DerivedRates:
         _require("dissipation_fraction", self.dissipation_fraction, "in [0, 1]")
 
     def to_hz(self) -> dict:
-        """Report form: rates in Hz, fraction and flag passed through."""
-        out = {}
-        for name in (
-            "delta_eff",
-            "kappa_cav_tot",
-            "kappa_eff_1",
-            "kappa_eff_2",
-            "kappa_eff_loss",
-            "kappa_lc_loss",
-            "kappa_lc_tot",
-        ):
-            out[f"{name}_hz"] = angular_to_hz(getattr(self, name))
-        out["dissipation_fraction"] = self.dissipation_fraction
-        out["within_validity"] = self.within_validity
-        return out
+        """Report form, keyed by DERIVED_RATE_KEYS."""
+        return {key: angular_to_hz(getattr(self, key[:-3])) if key.endswith("_hz")
+                else getattr(self, key) for key in DERIVED_RATE_KEYS}
 
 
 def effective_rates(params: SystemParams, *, delta_eff=None) -> DerivedRates:

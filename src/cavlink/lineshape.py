@@ -223,9 +223,9 @@ class FitResult:
     ``model_evaluations`` counts calls of the model kernel, each of which
     also gives the Jacobian. ``termination`` says why the fit stopped:
     ``cost_floor``, ``relative_drop``, ``relative_step``,
-    ``damping_saturated`` or ``max_iterations``. The pooled summary of
-    :func:`multi_trace_fit` sums its members' evaluations and leaves
-    ``termination`` empty.
+    ``damping_saturated`` or ``max_iterations``, and ``converged`` is false
+    only for the last. The pooled summary of :func:`multi_trace_fit` sums
+    its members' evaluations and leaves ``termination`` empty.
     """
 
     params: SystemParams
@@ -261,17 +261,26 @@ def _residuals(om, theta, kind, data, free):
     return s * p - data, s * dp + np.outer(p, ds)
 
 
-def _check_degenerate(jac, names):
-    """Raise if any Jacobian column is null or two columns are collinear."""
+def _scaled(jac):
+    """Column norms of ``jac``, its unit columns and their Gram matrix.
+
+    A null column is divided by 1 rather than by its zero norm, so it stays
+    null; the norms are returned as they are.
+    """
     norms = np.linalg.norm(jac, axis=0)
-    scale = float(np.max(norms)) if norms.size else 0.0
+    unit = jac / np.where(norms == 0.0, 1.0, norms)
+    return norms, unit, unit.T @ unit
+
+
+def _check_degenerate(norms, gram, names):
+    """Raise if any Jacobian column is null or two columns are collinear,
+    from the column ``norms`` and unit-column ``gram`` of :func:`_scaled`."""
+    scale = float(np.max(norms))
     for j, n in enumerate(norms):
         if n <= 1e-14 * max(scale, 1e-300):
             raise DegenerateParameterError(
                 (names[j],), f"parameter {names[j]!r} has no effect on this trace"
             )
-    unit = jac / norms
-    gram = unit.T @ unit
     k = len(names)
     for i in range(k):
         for j in range(i + 1, k):
@@ -340,54 +349,47 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
         raise InvalidInputError("initial guess is outside the model's domain")
     m = r_cur.size
     trajectory = [cost]
-    _check_degenerate(jac, names)
+    norms, unit, a = _scaled(jac)
+    _check_degenerate(norms, a, names)
 
     lam = 1e-3
-    converged = False
     termination = "max_iterations"
     floor = 1e-30 * m
     for iterations in range(1, config.max_iterations + 1):
         if cost <= floor:
-            converged, termination = True, "cost_floor"
+            termination = "cost_floor"
             break
-        norms = np.linalg.norm(jac, axis=0)
-        norms[norms == 0.0] = 1.0
-        unit = jac / norms
-        a = unit.T @ unit
         gradient = unit.T @ r_cur
-        accepted = False
         while lam < 1e14:
             try:
                 step = np.linalg.solve(a + lam * np.eye(len(names)), -gradient)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            x_new = np.clip(x + step / norms, lo, hi)
+            x_new = np.clip(x + step / np.where(norms == 0.0, 1.0, norms), lo, hi)
             cost_new, r_new, jac_new = evaluate(x_new)
             if cost_new < cost:
-                rel_drop = (cost - cost_new) / max(cost, 1e-300)
-                rel_step = float(
-                    np.max(np.abs(x_new - x) / np.maximum(np.abs(x), 1.0))
-                )
-                # The accepted trial's Jacobian is the next step's; the
-                # last one also gives the covariance.
-                x, cost, r_cur, jac = x_new, cost_new, r_new, jac_new
-                trajectory.append(cost)
-                lam = max(lam / 3.0, 1e-12)
-                accepted = True
-                if rel_drop <= config.tolerance:
-                    converged, termination = True, "relative_drop"
-                elif rel_step <= config.tolerance:
-                    converged, termination = True, "relative_step"
                 break
             lam *= 10.0
-        if not accepted:
+        else:
             # Damping saturated: no step in any descent direction improves
             # the cost, i.e. a (possibly bound-constrained) minimum.
-            converged, termination = True, "damping_saturated"
+            termination = "damping_saturated"
             break
-        if converged:
+        rel_drop = (cost - cost_new) / max(cost, 1e-300)
+        rel_step = float(np.max(np.abs(x_new - x) / np.maximum(np.abs(x), 1.0)))
+        # The accepted trial's Jacobian is the next step's, scaled once; the
+        # last one also gives the covariance.
+        x, cost, r_cur, jac = x_new, cost_new, r_new, jac_new
+        trajectory.append(cost)
+        lam = max(lam / 3.0, 1e-12)
+        if rel_drop <= config.tolerance:
+            termination = "relative_drop"
             break
+        if rel_step <= config.tolerance:
+            termination = "relative_step"
+            break
+        norms, unit, a = _scaled(jac)
 
     dof = max(m - len(names), 1)
     s2 = cost / dof
@@ -402,7 +404,7 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
         params=fitted,
         residual_norm=float(np.sqrt(cost / m)),
         uncertainties=uncertainties,
-        converged=converged,
+        converged=termination != "max_iterations",
         iterations=iterations,
         cost_trajectory=tuple(trajectory),
         model_evaluations=evaluations,
@@ -490,7 +492,8 @@ def multi_trace_fit(traces, shared, config: FitConfig) -> MultiTraceFit:
     """Fit several traces independently and pool the shared parameters.
 
     Before each fit, :func:`auto_initial_guess` refreshes the trace's
-    starting point for any free resonance frequency.
+    starting point for any free resonance frequency whose guess lies inside
+    ``config.bounds``; a guess outside them keeps the configured start.
 
     Parameters
     ----------
@@ -519,8 +522,9 @@ def multi_trace_fit(traces, shared, config: FitConfig) -> MultiTraceFit:
     results = []
     for trace in traces:
         guessed = auto_initial_guess(trace, config.initial_guess)
-        start = {n: getattr(guessed, n) for n in FREQUENCY_FIELDS if n in config.free_params}
-        start = config.initial_guess.replace(**start)
+        inside = {n: getattr(guessed, n) for n, (lo, hi) in config.bounds.items()
+                  if n in FREQUENCY_FIELDS and lo <= getattr(guessed, n) <= hi}
+        start = config.initial_guess.replace(**inside)
         results.append(fit_trace(trace, dataclasses.replace(config, initial_guess=start)))
 
     n = len(results)

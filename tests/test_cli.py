@@ -99,8 +99,9 @@ class TestSimulate:
          "grid.f_stop_hz: must be at most 2.86e+307 Hz in magnitude, got 1e308"),
         ("", ("-1e308", "7.6e9"),
          "grid.f_start_hz: must be at most 2.86e+307 Hz in magnitude, got -1e308"),
+        ("", ("7.6e9", "6.8e9"), "grid.f_stop_hz: must be greater than grid.f_start_hz"),
     ], ids=["negative_rate", "zero_frequency", "overflow", "grid_stop_overflow",
-            "grid_start_overflow"])
+            "grid_start_overflow", "grid_unordered"])
     def test_params_named_in_hz(self, tmp_path, capsys, line, grid, message):
         start, stop = grid or ("6.8e9", "7.6e9")
         text = f"[grid]\nf_start_hz = {start}\nf_stop_hz = {stop}\npoints = 101\n"
@@ -160,6 +161,13 @@ class TestSimulate:
         cfg = write_ini(tmp_path, grid_section(6.8e9, 7.6e9, 101))
         assert run(["simulate", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
         assert "omega_cav_hz" in capsys.readouterr().err
+
+    def test_missing_grid_section(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path, "[simulate]\noutputs = s21\n")
+        out = tmp_path / "x.csv"
+        assert run(["simulate", "--config", cfg, "--out", str(out), "--preset", "hat270"]) == 2
+        assert "grid: missing required section" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_is_io_error(self, tmp_path, capsys):
         assert run(["simulate", "--config", str(tmp_path / "absent.ini"),
@@ -275,6 +283,20 @@ class TestFit:
         assert run(["fit", "--config", cfg, "--out", str(tmp_path / "j.json"),
                     "--preset", "hat270"]) == 2
         assert "shared" in capsys.readouterr().err
+
+    def test_derived_rates_unavailable_at_a_crossing(self, tmp_path, capsys):
+        # equal bare frequencies: the dressed modes hybridize 50/50, so the
+        # rate budget has no branches to name and the report says why
+        truth = reference_params(delta_bare_hz=0.0)
+        write_trace(tmp_path / "data.csv", s21(truth, np.linspace(6.8e9, 7.2e9, 401)))
+        params = "".join(f"{k} = {v!r}\n" for k, v in truth.to_hz().items())
+        cfg = write_ini(tmp_path, f"[params]\n{params}[fit]\nfree_params = g\n"
+                        f"trace = {tmp_path / 'data.csv'}\n")
+        out = tmp_path / "fit.json"
+        assert run(["fit", "--config", cfg, "--out", str(out)]) == 0
+        derived = json.loads(out.read_text())["derived_rates_hz"]
+        assert list(derived) == ["unavailable"]
+        assert "50/50" in derived["unavailable"]
 
     def test_monte_carlo_batch_is_deterministic(self, tmp_path, capsys):
         trace_path, _ = self.make_trace(tmp_path)
@@ -396,6 +418,14 @@ class TestSweep:
         out = tmp_path / "s.csv"
         assert run(["sweep", "--config", cfg, "--out", str(out), "--preset", "hat270"]) == 2
         assert "sweep.values_hz" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_points_rejected(self, tmp_path, capsys):
+        cfg = write_ini(tmp_path, "[sweep]\nfield = g\nstart_hz = 10e6\nstop_hz = 90e6\n"
+                        "points = 0\n")
+        out = tmp_path / "s.csv"
+        assert run(["sweep", "--config", cfg, "--out", str(out), "--preset", "hat270"]) == 2
+        assert "sweep.points: must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_numeric_values_rejected(self, tmp_path, capsys):
@@ -797,9 +827,15 @@ class TestConfigKeys:
          ("noise_amplitude", "monte_carlo_runs")),
         ("fit", "free_params = g\ntrace = {data}\nmonte_carlo_runs = 2\n",
          ("monte_carlo_runs", "noise_amplitude")),
+        # one trace is one fit, with nothing to pool
+        ("fit", "free_params = g\ntrace = {data}\nshared = g\n", ("shared", "trace")),
+        # refused before any trace is read: neither file exists
+        ("fit", "free_params = g\ntraces = {data}-a, {data}-b\nshared = kappa_cav_1\n",
+         ("fit.shared: kappa_cav_1 is not in fit.free_params",)),
     ], ids=["values_and_start", "values_and_stop", "values_and_points", "trace_and_traces",
             "bound_of_fixed_param", "monte_carlo_runs_and_traces", "noise_and_traces",
-            "noise_without_runs", "runs_without_noise"])
+            "noise_without_runs", "runs_without_noise", "shared_and_trace",
+            "shared_param_not_free"])
     def test_keys_a_run_would_drop_refused(self, tmp_path, capsys, command, text, keys):
         self.configs(tmp_path)  # writes data.csv
         text = f"[{command}]\n" + text.format(data=tmp_path / "data.csv")

@@ -1,5 +1,6 @@
 """Core response model: parameters, traces, S-parameters, dressed modes, rates."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -123,6 +124,20 @@ class TestComplexTrace:
                 np.array([1.0, 2.0]), np.array([1.0, -0.5]), TraceKind.POWER
             )
 
+    @pytest.mark.parametrize("freqs, values, kind, message", [
+        ([1.0, np.inf], [1j, 2j], TraceKind.S21, "freqs must be finite"),
+        ([1.0, 2.0], [1.0, 0.5 + 1e-3j], TraceKind.POWER, "power_normalized values must be real"),
+        ([1.0, 2.0], [1.0, np.nan], TraceKind.POWER, "values must be finite"),
+        ([1.0, 2.0], [1.0], TraceKind.POWER, "match freqs in length"),
+    ], ids=["freqs_not_finite", "power_complex", "power_not_finite", "power_wrong_length"])
+    def test_refused_samples(self, freqs, values, kind, message):
+        with pytest.raises(InvalidInputError, match=message):
+            ComplexTrace(np.array(freqs), np.array(values), kind)
+
+    def test_power_with_zero_imaginary_parts_is_real(self):
+        t = ComplexTrace(np.array([1.0, 2.0]), np.array([1.0 + 0j, 0.5 + 0j]), TraceKind.POWER)
+        assert t.values.dtype == float and t.values.tolist() == [1.0, 0.5]
+
     def test_values_are_read_only(self):
         t = ComplexTrace(np.array([1.0, 2.0]), np.array([1j, 2j]), TraceKind.S21)
         with pytest.raises(ValueError):
@@ -178,6 +193,13 @@ class TestS21:
         for model in (s21, s11):
             with pytest.raises(InvalidInputError, match="finite"), np.errstate(invalid="ignore"):
                 model(p, np.linspace(6.8e9, 7.6e9, 11))
+
+    def test_lossless_normal_mode_is_singular(self):
+        # no loss and no coupling: the response diverges at the cavity frequency
+        p = SystemParams.from_hz(omega_cav=7.0e9, omega_lc=6.5e9)
+        for model in (s21, s11):
+            with pytest.raises(SingularResponseError, match="normal mode"):
+                model(p, np.array([6.9e9, 7.0e9, 7.1e9]))
 
     def test_symmetric_interference_null_is_exact(self):
         # lossless LC exactly on the cavity: perfect destructive interference
@@ -321,6 +343,11 @@ class TestEffectiveRates:
         for _ in range(100):
             r = effective_rates(random_params(rng))
             assert r.kappa_lc_tot == r.kappa_eff_1 + r.kappa_eff_2 + r.kappa_lc_loss
+
+    def test_identity_refused(self):
+        r = effective_rates(reference_params())
+        with pytest.raises(InvalidInputError, match="must equal kappa_eff_1"):
+            dataclasses.replace(r, kappa_lc_tot=r.kappa_lc_tot * 2.0)
 
     def test_validity_flag_threshold(self):
         p = reference_params()

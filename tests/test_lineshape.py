@@ -117,6 +117,14 @@ class TestExtractFwhm:
         with pytest.raises(WindowTooNarrowError):
             extract_fwhm(trace, (f0 - 0.6 * w, f0 + 0.6 * w))
 
+    def test_crossing_in_the_outermost_interval(self):
+        # samples every half linewidth at -0.5w ... 1.5w: the peak sits on
+        # the second sample, so its left crossing lies in the first interval
+        f0, w = 4.7e9, 1.0e6
+        trace = lorentzian_trace(f0, w, per_linewidth=2)
+        with pytest.raises(WindowTooNarrowError, match="outermost grid interval"):
+            extract_fwhm(trace, (f0 - 0.6 * w, f0 + 1.6 * w))
+
 
 class TestFitConfig:
     def test_unknown_parameter(self):
@@ -151,6 +159,11 @@ class TestFitConfig:
                 initial_guess=reference_params(),
                 bounds={"g": (2.0, 1.0)},
             )
+
+    def test_bound_on_unknown_parameter_refused(self):
+        with pytest.raises(InvalidInputError, match="unknown parameter 'q_factor'"):
+            FitConfig(free_params=("g",), initial_guess=reference_params(),
+                      bounds={"q_factor": (0.0, 1.0)})
 
     def test_bound_on_fixed_parameter_refused(self):
         p = reference_params()
@@ -565,6 +578,24 @@ class TestMultiTraceFit:
         cfg = FitConfig(free_params=("g",), initial_guess=truths[0])
         with pytest.raises(InvalidInputError, match="at least two"):
             multi_trace_fit(traces, ("g",), cfg)
+
+    def test_guess_outside_the_bounds_keeps_the_configured_start(self):
+        # hat270 on the README grid: the peak search lands omega_lc 2-3e-5
+        # below the truth, outside a box of 1e-5 around the configured start
+        hat = HAT_PRESETS["hat270"]
+        grid = np.linspace(6.8e9, 7.6e9, 801)
+        traces = [add_noise(s21(hat, grid), 0.003, seed=s) for s in (1, 2)]
+        w = hat.omega_lc
+        cfg = FitConfig(free_params=FREE, initial_guess=hat,
+                        bounds={"omega_lc": (w * (1 - 1e-5), w * (1 + 1e-5))})
+        assert not all(cfg.bounds["omega_lc"][0] <= auto_initial_guess(t, hat).omega_lc
+                       for t in traces)
+        joint = multi_trace_fit(traces, ("g",), cfg)
+        assert joint.combined.converged
+        for result in joint.per_trace:
+            for name in FREE:
+                sigma = TWO_PI * result.uncertainties[name]
+                assert abs(getattr(result.params, name) - getattr(hat, name)) < 3 * sigma, name
 
     def test_shared_must_be_free(self):
         traces, truths = self.hat_traces([520e6, 900e6])

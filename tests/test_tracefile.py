@@ -206,6 +206,13 @@ class TestAtomicWrites:
         leftovers = [n for n in os.listdir(tmp_path) if n.startswith(".cavlink-")]
         assert leftovers == []
 
+    def test_failed_write_removes_its_temp_file(self, tmp_path):
+        # a directory in the way makes the final rename fail
+        (tmp_path / "taken").mkdir()
+        with pytest.raises(OSError):
+            write_text_atomic(tmp_path / "taken", "payload\n")
+        assert sorted(os.listdir(tmp_path)) == ["taken"]
+
     def test_overwrite_replaces_whole_file(self, tmp_path):
         path = tmp_path / "out.txt"
         write_text_atomic(path, "a much longer first payload\n")
