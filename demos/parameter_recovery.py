@@ -80,7 +80,7 @@ def main():
         ),
     )
     mean = angular_to_hz(joint.shared_means["g"])
-    se = angular_to_hz(joint.shared_std_errors["g"])
+    se = joint.combined.uncertainties["g"]
     print()
     print("joint fit of hat270 + hat300 with shared coupling:")
     print(f"  g/2pi = {mean / 1e6:.4f} MHz +- {se / 1e3:.1f} kHz"

@@ -297,19 +297,20 @@ def _cmd_fit(cp, out, seed, preset_name):
     values = _read(cp, _TABLES["fit"], preset_name)
     fit = values["fit"]
     config = _fit_config_from(fit, values["params"])
-    paths = fit["traces"] or [fit["trace"]]
     runs, noise = fit["monte_carlo_runs"], fit["noise_amplitude"]
     if (runs > 0) != (noise > 0.0):  # runs alone repeat one fit; noise alone is dropped
         raise ConfigError("fit: give monte_carlo_runs and noise_amplitude both above 0 "
                           f"or neither, got {runs} and {noise!r}")
 
-    if len(paths) > 1:
+    if fit["traces"] is not None:
+        if len(fit["traces"]) < 2:
+            raise ConfigError("fit.traces: list at least two files; give one as fit.trace")
         if not fit["shared"]:
             raise ConfigError("fit.shared: required for multi-trace fits")
         for name in fit["shared"]:
             if name not in config.free_params:
                 raise ConfigError(f"fit.shared: {name} is not in fit.free_params")
-        traces = [read_trace(p) for p in paths]
+        traces = [read_trace(p) for p in fit["traces"]]
         multi = multi_trace_fit(traces, tuple(fit["shared"]), config)
         report = {
             "combined": _fit_report(multi.combined, config),
@@ -317,16 +318,12 @@ def _cmd_fit(cp, out, seed, preset_name):
             "shared_means_hz": {
                 k: angular_to_hz(v) for k, v in multi.shared_means.items()
             },
-            "shared_std_errors_hz": {
-                k: angular_to_hz(v) for k, v in multi.shared_std_errors.items()
-            },
+            "shared_std_errors_hz": dict(multi.combined.uncertainties),
             "consistent": dict(multi.consistent),
         }
-        write_json(out, report)
-        return EXIT_OK if multi.combined.converged else EXIT_NONCONVERGENCE
-
-    trace = read_trace(paths[0])
-    if runs > 0:
+        converged = multi.combined.converged
+    elif runs > 0:
+        trace = read_trace(fit["trace"])
         run_reports = [_fit_report(fit_trace(add_noise(trace, noise, seed + k), config), config)
                        for k in range(runs)]
         stats = {}
@@ -343,13 +340,12 @@ def _cmd_fit(cp, out, seed, preset_name):
             "scatter_hz": stats,
             "runs": run_reports,
         }
-        write_json(out, report)
-        ok = all(r["converged"] for r in run_reports)
-        return EXIT_OK if ok else EXIT_NONCONVERGENCE
-
-    result = fit_trace(trace, config)
-    write_json(out, _fit_report(result, config))
-    return EXIT_OK if result.converged else EXIT_NONCONVERGENCE
+        converged = all(r["converged"] for r in run_reports)
+    else:
+        result = fit_trace(read_trace(fit["trace"]), config)
+        report, converged = _fit_report(result, config), result.converged
+    write_json(out, report)
+    return EXIT_OK if converged else EXIT_NONCONVERGENCE
 
 
 def _sweep_values(sweep) -> tuple:

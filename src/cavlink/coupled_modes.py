@@ -491,7 +491,7 @@ class DerivedRates:
     kappa_lc_loss: float
     kappa_lc_tot: float
     dissipation_fraction: float
-    within_validity: bool = True
+    within_validity: bool
 
     def __post_init__(self):
         expected = self.kappa_eff_1 + self.kappa_eff_2 + self.kappa_lc_loss

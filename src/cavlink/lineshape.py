@@ -484,7 +484,6 @@ class MultiTraceFit:
     combined: FitResult
     per_trace: tuple
     shared_means: dict
-    shared_std_errors: dict
     consistent: dict
 
 
@@ -528,7 +527,7 @@ def multi_trace_fit(traces, shared, config: FitConfig) -> MultiTraceFit:
         results.append(fit_trace(trace, dataclasses.replace(config, initial_guess=start)))
 
     n = len(results)
-    means, std_errors, consistent, unc_hz = {}, {}, {}, {}
+    means, consistent, unc_hz = {}, {}, {}
     for name in shared:
         values = np.array([getattr(r.params, name) for r in results])
         mean = float(np.mean(values))
@@ -537,7 +536,6 @@ def multi_trace_fit(traces, shared, config: FitConfig) -> MultiTraceFit:
             np.sqrt(np.mean([(TWO_PI * r.uncertainties[name]) ** 2 for r in results]) / n)
         )
         means[name] = mean
-        std_errors[name] = se
         consistent[name] = se <= 2.0 * pooled + 1e-12 * abs(mean)
         unc_hz[name] = angular_to_hz(se)
 
@@ -558,7 +556,6 @@ def multi_trace_fit(traces, shared, config: FitConfig) -> MultiTraceFit:
         combined=combined,
         per_trace=tuple(results),
         shared_means=means,
-        shared_std_errors=std_errors,
         consistent=consistent,
     )
 

@@ -832,10 +832,18 @@ class TestConfigKeys:
         # refused before any trace is read: neither file exists
         ("fit", "free_params = g\ntraces = {data}-a, {data}-b\nshared = kappa_cav_1\n",
          ("fit.shared: kappa_cav_1 is not in fit.free_params",)),
+        # one file is a trace, not a joint fit
+        ("fit", "free_params = g\ntraces = {data}-a\n",
+         ("fit.traces: list at least two files; give one as fit.trace",)),
+        ("fit", "free_params = g\ntraces = {data}-a\nshared = g\n",
+         ("fit.traces: list at least two files; give one as fit.trace",)),
+        ("fit", "free_params = g\ntraces = {data}-a\nmonte_carlo_runs = 3\n"
+         "noise_amplitude = 0.01\n", ("monte_carlo_runs", "traces")),
     ], ids=["values_and_start", "values_and_stop", "values_and_points", "trace_and_traces",
             "bound_of_fixed_param", "monte_carlo_runs_and_traces", "noise_and_traces",
             "noise_without_runs", "runs_without_noise", "shared_and_trace",
-            "shared_param_not_free"])
+            "shared_param_not_free", "one_entry_traces", "one_entry_traces_and_shared",
+            "one_entry_traces_and_monte_carlo"])
     def test_keys_a_run_would_drop_refused(self, tmp_path, capsys, command, text, keys):
         self.configs(tmp_path)  # writes data.csv
         text = f"[{command}]\n" + text.format(data=tmp_path / "data.csv")

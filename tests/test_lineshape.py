@@ -547,7 +547,7 @@ class TestMultiTraceFit:
             initial_guess=truths[0],
         )
         joint = multi_trace_fit(traces, ("g",), cfg)
-        assert joint.shared_std_errors["g"] == 0.0
+        assert joint.combined.uncertainties["g"] == 0.0
         assert joint.consistent["g"]
         assert joint.combined.converged
 
