@@ -20,8 +20,7 @@ import json
 import math
 import os
 import re
-import tempfile
-from itertools import chain, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -31,6 +30,8 @@ from .errors import ConfigError, InvalidInputError, TraceParseError
 _COMPLEX_HEADER = "freq_hz,re,im"
 _POWER_HEADER = "freq_hz,power"
 _KIND_COMMENT = re.compile(r"#\s*kind\s*=\s*(\S+)")
+_UNDECODED = re.compile("[\udc80-\udcff]")  # a byte that is not UTF-8, as surrogateescape reads it
+_BLOCK = 2048  # rows formatted or parsed at a time: the memory a trace file costs beyond its arrays
 
 
 def format_float(x) -> str:
@@ -38,19 +39,30 @@ def format_float(x) -> str:
     return repr(float(x))
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write text to path via a temp file + rename, so readers never see
-    a partially written file."""
+@contextlib.contextmanager
+def _replacing(path):
+    """A handle on a new temp file beside ``path`` that replaces ``path`` when
+    the block exits cleanly, so readers never see a partially written file.
+    Like ``open(path, "w")`` on a new file, the file gets 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cavlink-", suffix=".tmp")
+    tmp = os.path.join(directory, f".cavlink-{os.urandom(8).hex()}.tmp")
+    # As tempfile.mkstemp opens (a name taken raises; nothing is overwritten), but not 0o600.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write text to path via a temp file + rename, so readers never see
+    a partially written file."""
+    with _replacing(path) as handle:
+        handle.write(text)
 
 
 def write_json(path, payload) -> None:
@@ -62,10 +74,13 @@ def write_trace(path, trace: ComplexTrace) -> None:
         header, columns = _POWER_HEADER, (trace.freqs, trace.values)
     else:
         header, columns = _COMPLEX_HEADER, (trace.freqs, trace.values.real, trace.values.imag)
-    # One format call over the rows' Python floats: %r of a float is format_float.
+    # One format call per block over its rows' Python floats: %r of a float is format_float.
     row = ",".join(["%r"] * len(columns)) + "\n"
-    text = f"# cavlink trace\n# kind = {trace.kind.value}\n{header}\n" + row * len(trace)
-    write_text_atomic(path, text % tuple(np.stack(columns, axis=1).ravel().tolist()))
+    with _replacing(path) as handle:
+        handle.write(f"# cavlink trace\n# kind = {trace.kind.value}\n{header}\n")
+        for start in range(0, len(trace), _BLOCK):
+            block = np.stack([c[start:start + _BLOCK] for c in columns], axis=1)
+            handle.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def _parse_kind(token, path, lineno):
@@ -90,18 +105,17 @@ def _parse_float(token, path, lineno, column):
     return value
 
 
-def _table(path, rows, linenos, header):
+def _table(path, rows, linenos, header, previous):
     """The data rows as one (n, columns) float array, each value converted once by float();
-    only if a check fails are the rows walked, in order, to raise the first bad one's error."""
+    only if a check fails are the rows walked, in order, to raise the first bad one's error.
+    ``previous`` is the frequency before the first row's (-inf for none)."""
     width = 3 if header == _COMPLEX_HEADER else 2
-    chunks = (",".join(rows[i:i + 1024]).split(",") for i in range(0, len(rows), 1024))
     with contextlib.suppress(ValueError):  # a non-number, named by the walk
         if set(map(str.count, rows, repeat(","))) <= {width - 1}:
-            values = map(float, map(str.strip, chain.from_iterable(chunks)))
+            values = map(float, map(str.strip, ",".join(rows).split(",")))
             table = np.fromiter(values, float, len(rows) * width).reshape(-1, width)
-            if np.isfinite(table).all() and (np.diff(table[:, 0]) > 0).all():
+            if np.isfinite(table).all() and (np.diff(table[:, 0], prepend=previous) > 0).all():
                 return table
-    previous = -math.inf
     for lineno, row in zip(linenos, rows):
         columns = [c.strip() for c in row.split(",")]
         if len(columns) != width:
@@ -115,51 +129,59 @@ def _table(path, rows, linenos, header):
 
 
 def read_trace(path) -> ComplexTrace:
-    """Parse a trace file; malformed content raises TraceParseError with the
-    offending line number. A missing file raises the usual FileNotFoundError
-    so callers can distinguish I/O problems from format problems.
+    """Parse a UTF-8 trace file; malformed content raises TraceParseError with
+    the offending line number. A missing file raises the usual FileNotFoundError
+    so callers can distinguish I/O problems from format problems. The rows are
+    parsed a block at a time, so memory beyond the returned arrays stays small.
     """
-    with open(path, "r") as handle:
-        raw_lines = handle.readlines()
-
     kind = None
     header = None
-    header_line = 0
-    rows, linenos = [], []  # each data line as read, and its line number
-    for lineno, raw in enumerate(raw_lines, 1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            match = _KIND_COMMENT.match(line)
-            if match:
-                try:
-                    kind = _parse_kind(match.group(1), path, lineno)
-                except TraceParseError:  # a bad row before it is reported first
-                    _table(path, rows, linenos, header)
-                    raise
-            continue
-        if header is None:
-            compact = line.replace(" ", "")
-            if compact not in (_COMPLEX_HEADER, _POWER_HEADER):
-                raise TraceParseError(
-                    path, lineno,
-                    f"expected header {_COMPLEX_HEADER!r} or {_POWER_HEADER!r}, "
-                    f"got {line!r}",
-                )
-            header = compact
-            header_line = lineno
-            continue
-        rows.append(raw)
-        linenos.append(lineno)
-    table = _table(path, rows, linenos, header)
+    header_line = lineno = 0  # lineno ends as the line count, which whole-file errors name
+    blocks, rows, linenos = [], [], []  # parsed blocks; the next block's lines and line numbers
+    previous = -math.inf
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        for lineno, raw in enumerate(handle, 1):
+            if not raw.isascii() and (undecoded := _UNDECODED.search(raw)):
+                _table(path, rows, linenos, header, previous)  # earlier bad rows come first
+                byte = ord(undecoded[0]) - 0xDC00
+                raise TraceParseError(path, lineno, f"byte {byte:#04x} is not UTF-8")
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                match = _KIND_COMMENT.match(line)
+                if match:
+                    try:
+                        kind = _parse_kind(match.group(1), path, lineno)
+                    except TraceParseError:  # a bad row before it is reported first
+                        _table(path, rows, linenos, header, previous)
+                        raise
+                continue
+            if header is None:
+                compact = line.replace(" ", "")
+                if compact not in (_COMPLEX_HEADER, _POWER_HEADER):
+                    raise TraceParseError(
+                        path, lineno,
+                        f"expected header {_COMPLEX_HEADER!r} or {_POWER_HEADER!r}, "
+                        f"got {line!r}",
+                    )
+                header = compact
+                header_line = lineno
+                continue
+            rows.append(raw)
+            linenos.append(lineno)
+            if len(rows) == _BLOCK:
+                blocks.append(_table(path, rows, linenos, header, previous))
+                previous = blocks[-1][-1, 0]
+                rows, linenos = [], []
+    blocks.append(_table(path, rows, linenos, header, previous))
+    table = np.concatenate(blocks)
+    del blocks  # before ComplexTrace copies the table
 
     if header is None:
-        raise TraceParseError(path, len(raw_lines), "no header line found")
-    if len(rows) < 2:
-        raise TraceParseError(
-            path, len(raw_lines), "a trace needs at least 2 samples"
-        )
+        raise TraceParseError(path, lineno, "no header line found")
+    if len(table) < 2:
+        raise TraceParseError(path, lineno, "a trace needs at least 2 samples")
     if header == _POWER_HEADER:
         if kind is None:
             kind = TraceKind.POWER
@@ -181,7 +203,7 @@ def read_trace(path) -> ComplexTrace:
     try:
         return ComplexTrace(table[:, 0], data, kind)
     except InvalidInputError as exc:
-        raise TraceParseError(path, len(raw_lines), str(exc)) from None
+        raise TraceParseError(path, lineno, str(exc)) from None
 
 
 def load_config(path) -> configparser.ConfigParser:
@@ -190,9 +212,11 @@ def load_config(path) -> configparser.ConfigParser:
     can name the default section "\\n", so ``[DEFAULT]`` is an ordinary one."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="\n")
     try:
-        with open(path, "r") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             parser.read_file(handle, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: byte {exc.object[exc.start]:#04x} is not UTF-8") from None
     return parser
 

@@ -173,6 +173,15 @@ class TestSimulate:
         assert run(["simulate", "--config", str(tmp_path / "absent.ini"),
                     "--out", str(tmp_path / "x.csv"), "--preset", "hat270"]) == 3
 
+    def test_undecodable_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_bytes(grid_section(6.8e9, 7.6e9, 101).encode() + b"; temp\xe9rature\n")
+        out = tmp_path / "x.csv"
+        assert run(["simulate", "--config", str(cfg), "--out", str(out),
+                    "--preset", "hat270"]) == 2
+        assert f"{cfg}: byte 0xe9 is not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unwritable_output_is_io_error(self, tmp_path, capsys):
         cfg = write_ini(tmp_path, grid_section(6.8e9, 7.6e9, 101))
         out = str(tmp_path / "no" / "such" / "dir" / "x.csv")
@@ -255,6 +264,15 @@ class TestFit:
                     "--preset", "hat270"]) == 4
         err = capsys.readouterr().err
         assert "bad.csv:3" in err
+
+    def test_undecodable_trace_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"# cavlink trace\n# note: temp\xe9rature\nfreq_hz,re,im\n1,0,0\n2,0,0\n")
+        cfg = write_ini(tmp_path, fit_sections(f"trace = {bad}\n"))
+        out = tmp_path / "fit.json"
+        assert run(["fit", "--config", cfg, "--out", str(out), "--preset", "hat270"]) == 4
+        assert "bad.csv:2: byte 0xe9 is not UTF-8" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_multi_trace_shared_g(self, tmp_path, capsys):
         path_a, _ = self.make_trace(tmp_path, "a.csv", detuning=520e6)

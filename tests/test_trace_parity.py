@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cavlink import ComplexTrace, InvalidInputError, TraceKind, TraceParseError
+from cavlink import ComplexTrace, InvalidInputError, TraceKind, TraceParseError, tracefile
 from cavlink.tracefile import read_trace, write_trace
 
 _COMPLEX_HEADER = "freq_hz,re,im"
@@ -230,6 +230,35 @@ def test_edited_file_matches_reference(tmp_path, kind, edit):
     assert_same_outcome(path)
 
 
+@pytest.mark.parametrize("kind", list(TraceKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("edit", list(EDITS), ids=str)
+def test_edited_file_matches_reference_in_blocks_of_2(tmp_path, monkeypatch, kind, edit):
+    monkeypatch.setattr(tracefile, "_BLOCK", 2)
+    test_edited_file_matches_reference(tmp_path, kind, edit)
+
+
+# Files of 2-row blocks: lines 2-3 hold the first block, 4-5 the second.
+BLOCK_EDGES = {
+    "frequency_repeated_across_blocks": (
+        "freq_hz,power\n1,0.5\n2,0.5\n2,0.4\n3,0.3\n", 4, "strictly increasing"),
+    "unknown_kind_after_full_block": (
+        "freq_hz,power\n1,0.5\n2,0.5\n# kind = s99\n3,0.3\n", 4, "unknown trace kind"),
+    "non_number_ends_full_block": (
+        "freq_hz,re,im\n1,0,0\n2,0,x\n3,0,0\n", 3, "column 3: 'x' is not a number"),
+}
+
+
+@pytest.mark.parametrize("case", list(BLOCK_EDGES))
+def test_block_edges(tmp_path, monkeypatch, case):
+    monkeypatch.setattr(tracefile, "_BLOCK", 2)
+    text, line, message = BLOCK_EDGES[case]
+    path = tmp_path / "edge.csv"
+    path.write_text(text)
+    kind, got, lineno = assert_same_outcome(path)
+    assert (kind, lineno) == ("error", line)
+    assert message in got
+
+
 def test_edits_reach_both_outcomes(tmp_path):
     # The table above is meant to exercise both paths of the reader.
     seen = set()
@@ -258,3 +287,8 @@ def test_generated_files_match_reference(tmp_path_factory, lines, newline):
     assert_same_outcome(path)
     path.write_text("freq_hz,power\n" + newline.join(lines), newline="")
     assert_same_outcome(path)
+
+
+def test_generated_files_match_reference_in_blocks_of_2(tmp_path_factory, monkeypatch):
+    monkeypatch.setattr(tracefile, "_BLOCK", 2)
+    test_generated_files_match_reference(tmp_path_factory)

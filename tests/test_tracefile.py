@@ -3,6 +3,8 @@
 import json
 import os
 import re
+import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from cavlink import (
     SweepTargets,
     TraceKind,
     TraceParseError,
+    normalized_power_trace,
+    tracefile,
 )
 from cavlink.cli import _TABLES, _read
 from cavlink.tracefile import (
@@ -125,6 +129,37 @@ def test_file_round_trip_is_bit_exact(tmp_path_factory, trace):
     assert second.read_bytes() == first.read_bytes()
 
 
+def test_file_round_trip_is_bit_exact_in_blocks_of_2(tmp_path_factory, monkeypatch):
+    monkeypatch.setattr(tracefile, "_BLOCK", 2)
+    test_file_round_trip_is_bit_exact(tmp_path_factory)
+
+
+class TestMemory:
+    """A trace file costs one block of rows beyond the arrays it holds."""
+
+    ROWS = 100_000
+
+    @pytest.mark.parametrize("kind", [TraceKind.S21, TraceKind.POWER], ids=lambda k: k.value)
+    def test_peaks(self, tmp_path, kind):
+        trace = sample_trace(TraceKind.S21, self.ROWS)
+        if kind is TraceKind.POWER:
+            trace = normalized_power_trace(trace)
+        path = tmp_path / "dense.csv"
+        tracemalloc.start()
+        try:
+            write_trace(path, trace)
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = read_trace(path)
+            read_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.values, trace.values)
+        assert write_peak < 1e6
+        assert read_peak < 2.5 * (loaded.freqs.nbytes + loaded.values.nbytes)
+
+
 class TestParseErrors:
     def write(self, tmp_path, text):
         path = tmp_path / "bad.csv"
@@ -190,6 +225,27 @@ class TestParseErrors:
         with pytest.raises(FileNotFoundError):
             read_trace(tmp_path / "absent.csv")
 
+    def test_undecodable_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"# cavlink trace\n# note: temp\xe9rature\nfreq_hz,re,im\n1,0,0\n2,0,0\n")
+        with pytest.raises(TraceParseError, match=r"bad\.csv:2: byte 0xe9 is not UTF-8"):
+            read_trace(path)
+        # rows fill many blocks and decode buffers before the byte; one is bad
+        rows = [f"{f},0.5\n" for f in range(1, 20_001)]
+        text = "freq_hz,power\n" + "".join(rows) + "# \xe9\n"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(TraceParseError, match=r"bad\.csv:20002: byte 0xe9 is not UTF-8"):
+            read_trace(path)
+        rows[15_000] = "15001,x\n"
+        path.write_bytes(("freq_hz,power\n" + "".join(rows) + "# \xe9\n").encode("latin-1"))
+        with pytest.raises(TraceParseError, match=r"bad\.csv:15002: column 2: 'x'"):
+            read_trace(path)
+
+    def test_utf8_text_is_read_as_utf8(self, tmp_path):
+        path = tmp_path / "accented.csv"
+        path.write_bytes("# note: température\nfreq_hz,power\n1,0.5\n2,0.4\n".encode("utf-8"))
+        assert len(read_trace(path)) == 2
+
     def test_error_carries_location(self, tmp_path):
         path = self.write(tmp_path, "freq_hz,re,im\n1,0,0\n2,x,0\n")
         with pytest.raises(TraceParseError) as err:
@@ -218,6 +274,22 @@ class TestAtomicWrites:
         write_text_atomic(path, "a much longer first payload\n")
         write_text_atomic(path, "short\n")
         assert path.read_text() == "short\n"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o002, 0o077], ids=oct)
+    def test_written_files_follow_the_umask(self, tmp_path, umask):
+        # the mode open(path, "w") gives a new file, also when one is replaced
+        old = os.umask(umask)
+        try:
+            (tmp_path / "old.txt").write_text("")
+            os.chmod(tmp_path / "old.txt", 0o644)
+            write_text_atomic(tmp_path / "old.txt", "payload\n")
+            write_text_atomic(tmp_path / "new.txt", "payload\n")
+            write_json(tmp_path / "new.json", {})
+            write_trace(tmp_path / "new.csv", sample_trace())
+        finally:
+            os.umask(old)
+        for name in ("old.txt", "new.txt", "new.json", "new.csv"):
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o666 & ~umask, name
 
     def test_write_json_layout(self, tmp_path):
         path = tmp_path / "report.json"
@@ -286,6 +358,14 @@ class TestConfig:
     def test_missing_file_is_io(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_config(tmp_path / "absent.ini")
+
+    def test_undecodable_byte(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_bytes(b"[grid]\n; temp\xe9rature\nf_start_hz = 1\n")
+        with pytest.raises(ConfigError, match=r"run\.ini: byte 0xe9 is not UTF-8"):
+            load_config(path)
+        path.write_bytes("[grid]\n; température\nf_start_hz = 1\n".encode("utf-8"))
+        assert load_config(path).get("grid", "f_start_hz") == "1"
 
     def test_float_required_and_invalid(self, tmp_path):
         with pytest.raises(ConfigError, match="grid.f_start_hz: missing"):
