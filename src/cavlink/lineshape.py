@@ -262,34 +262,36 @@ def _residuals(om, theta, kind, data, free):
 
 
 def _scaled(jac):
-    """Column norms of ``jac``, its unit columns and their Gram matrix.
-
-    A null column is divided by 1 rather than by its zero norm, so it stays
-    null; the norms are returned as they are.
-    """
+    """Column norms of ``jac``, its unit columns (a null column stays null)
+    and the ascending eigenpairs ``w``, ``v`` of their Gram matrix."""
     norms = np.linalg.norm(jac, axis=0)
     unit = jac / np.where(norms == 0.0, 1.0, norms)
-    return norms, unit, unit.T @ unit
+    return norms, unit, *np.linalg.eigh(unit.T @ unit)
 
 
-def _check_degenerate(norms, gram, names):
-    """Raise if any Jacobian column is null or two columns are collinear,
-    from the column ``norms`` and unit-column ``gram`` of :func:`_scaled`."""
+def _check_degenerate(norms, w, v, names):
+    """Raise if a Jacobian column is null, or if the unit-column Gram matrix
+    of :func:`_scaled` has an eigenvalue below 1e-6 (for two columns, |cos| >
+    1 - 1e-6); the error names the parameters whose component in its
+    eigenvector is at least 0.1 in magnitude."""
     scale = float(np.max(norms))
     for j, n in enumerate(norms):
         if n <= 1e-14 * max(scale, 1e-300):
             raise DegenerateParameterError(
                 (names[j],), f"parameter {names[j]!r} has no effect on this trace"
             )
-    k = len(names)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if abs(gram[i, j]) > 1.0 - 1e-6:
-                raise DegenerateParameterError(
-                    (names[i], names[j]),
-                    f"parameters {names[i]!r} and {names[j]!r} are indistinguishable "
-                    "for this trace (collinear sensitivities)",
-                )
+    if w[0] < 1e-6:
+        mixed = tuple(n for n, c in zip(names, v[:, 0]) if abs(c) >= 0.1)
+        raise DegenerateParameterError(
+            mixed,
+            f"parameters {', '.join(map(repr, mixed))} are indistinguishable for "
+            "this trace (a combination of them has no effect)",
+        )
+
+
+def _step(w, v, gradient, lam):
+    """(G + lam I)^-1 (-gradient) from the eigenpairs ``w``, ``v`` of G."""
+    return -v @ ((v.T @ gradient) / (w + lam))
 
 
 def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
@@ -309,8 +311,8 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
     Raises
     ------
     DegenerateParameterError
-        When the initial Jacobian shows a parameter without effect or a
-        collinear pair (e.g. kappa_cav_2 and kappa_cav_loss both free on a
+        When the initial Jacobian shows a parameter or a combination of
+        parameters with no effect (e.g. kappa_cav_2 and kappa_cav_loss on a
         normalized transmission-power trace, where only their sum enters).
     """
     names = config.free_params
@@ -349,8 +351,8 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
         raise InvalidInputError("initial guess is outside the model's domain")
     m = r_cur.size
     trajectory = [cost]
-    norms, unit, a = _scaled(jac)
-    _check_degenerate(norms, a, names)
+    norms, unit, w, v = _scaled(jac)
+    _check_degenerate(norms, w, v, names)
 
     lam = 1e-3
     termination = "max_iterations"
@@ -361,11 +363,7 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
             break
         gradient = unit.T @ r_cur
         while lam < 1e14:
-            try:
-                step = np.linalg.solve(a + lam * np.eye(len(names)), -gradient)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
+            step = _step(w, v, gradient, lam)  # lam diag(J^T J) is lam I on unit columns
             x_new = np.clip(x + step / np.where(norms == 0.0, 1.0, norms), lo, hi)
             cost_new, r_new, jac_new = evaluate(x_new)
             if cost_new < cost:
@@ -380,7 +378,8 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
         rel_step = float(np.max(np.abs(x_new - x) / np.maximum(np.abs(x), 1.0)))
         # The accepted trial's Jacobian is the next step's, scaled once; the
         # last one also gives the covariance.
-        x, cost, r_cur, jac = x_new, cost_new, r_new, jac_new
+        x, cost, r_cur = x_new, cost_new, r_new
+        norms, unit, w, v = _scaled(jac_new)
         trajectory.append(cost)
         lam = max(lam / 3.0, 1e-12)
         if rel_drop <= config.tolerance:
@@ -389,12 +388,12 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
         if rel_step <= config.tolerance:
             termination = "relative_step"
             break
-        norms, unit, a = _scaled(jac)
 
-    dof = max(m - len(names), 1)
-    s2 = cost / dof
-    cov = s2 * np.linalg.pinv(jac.T @ jac)
-    sigmas = np.sqrt(np.clip(np.diag(cov), 0.0, np.inf))
+    # diag(pinv(J^T J)) from the same eigenpairs; like pinv, drop the
+    # eigenvalues at or below 1e-15 of the largest. A null column gets 0.
+    kept = w > 1e-15 * w[-1]
+    variance = cost / max(m - len(names), 1) * (v[:, kept] ** 2 @ (1.0 / w[kept]))
+    sigmas = np.sqrt(variance) / np.where(norms == 0.0, 1.0, norms)
     uncertainties = {n: angular_to_hz(float(s)) for n, s in zip(names, sigmas)}
 
     with warnings.catch_warnings():

@@ -6,7 +6,7 @@ writes against ``tests/golden/``:
 * ``simulate`` traces must match byte for byte;
 * fit reports, sweep CSVs and omit outputs must keep their keys, row order
   and non-numeric text exactly, while numbers may move by at most 1e-12
-  relative (fits pass through LAPACK ``solve`` and ``pinv`` and BLAS
+  relative (fits pass through LAPACK's symmetric eigensolver and BLAS
   products, sweeps and omit runs through libm, and the last digits of
   these may differ between builds and machines).
 

@@ -27,6 +27,7 @@ from cavlink import (
     s11,
     s21,
 )
+from cavlink.coupled_modes import PARAM_FIELDS
 from cavlink.units import TWO_PI
 
 
@@ -485,6 +486,35 @@ class TestZeroAmplitudeStart:
         assert err.value.names == named
 
 
+class TestSevenFreeParameters:
+    """hat270 on the README grid with all seven parameters free. S21 sees the
+    cavity rates only through kappa_cav_1 kappa_cav_2 and kappa_cav_tot, S11
+    only through kappa_cav_1 and kappa_cav_tot, so a combination of them has
+    no effect on either trace and the fit is refused, naming it."""
+
+    HAT = HAT_PRESETS["hat270"]
+    GRID = np.linspace(6.8e9, 7.6e9, 801)
+    CONFIG = FitConfig(free_params=PARAM_FIELDS, initial_guess=HAT)
+    S21_NULL = ("kappa_cav_1", "kappa_cav_2", "kappa_cav_loss")
+
+    @pytest.mark.parametrize(
+        "model, named",
+        [(s21, S21_NULL), (s11, ("kappa_cav_2", "kappa_cav_loss"))],
+        ids=["s21", "s11"],
+    )
+    def test_single_trace_refused(self, model, named):
+        trace = add_noise(model(self.HAT, self.GRID), 0.003, seed=1)
+        with pytest.raises(DegenerateParameterError) as err:
+            fit_trace(trace, self.CONFIG)
+        assert err.value.names == named
+
+    def test_joint_fit_refused(self):
+        traces = [add_noise(s21(self.HAT, self.GRID), 0.003, seed=s) for s in (1, 2)]
+        with pytest.raises(DegenerateParameterError) as err:
+            multi_trace_fit(traces, PARAM_FIELDS, self.CONFIG)
+        assert err.value.names == self.S21_NULL
+
+
 class TestAutoInitialGuess:
     def test_two_feature_trace(self):
         truth = reference_params()
@@ -811,3 +841,104 @@ class TestAutoInitialGuessMatchesLoop:
                 want = _guess_or_error(_auto_initial_guess_loop, trace, template)
                 got = _guess_or_error(auto_initial_guess, trace, template)
                 assert got == want, (hat, seed, trace.kind)
+
+
+# -- the fitter's linear algebra against the LAPACK formulas it replaced -----
+
+from unittest import mock  # noqa: E402
+
+from hypothesis import assume  # noqa: E402
+
+from cavlink import lineshape  # noqa: E402
+
+
+@st.composite
+def synthetic_jacobians(draw, planted=False):
+    """An m x k Jacobian (k = 1..7, m >= 5k) of Gaussian columns, scaled by
+    10^(-3..3) overall and by 0.5..2 per column, a residual vector, and the
+    columns of a planted null combination. With ``planted`` that is 2 to 4
+    columns with coefficients of 0.5 to 1 in magnitude; otherwise there is
+    none, and one column may lie close to another."""
+    size = draw(st.integers(2, 4)) if planted else 0
+    k = draw(st.integers(max(size, 1), 7))
+    m = draw(st.integers(5 * k, 5 * k + 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    jac = rng.standard_normal((m, k))
+    cols = tuple(sorted(draw(st.lists(st.integers(0, k - 1), min_size=size,
+                                      max_size=size, unique=True))))
+    if planted:
+        coef = np.array([draw(st.floats(0.5, 1.0)) * draw(st.sampled_from((-1, 1)))
+                         for _ in cols])
+        jac[:, cols[0]] = -(jac[:, cols[1:]] @ coef[1:]) / coef[0]
+    elif k > 1 and draw(st.booleans()):
+        jac[:, 1] = jac[:, 0] + 10.0 ** draw(st.floats(-2.0, 0.0)) * jac[:, 1]
+    jac *= 10.0 ** draw(st.floats(-3.0, 3.0)) * rng.uniform(0.5, 2.0, k)
+    return jac, rng.standard_normal(m), cols
+
+
+def _smallest_scaled_eigenvalue(jac):
+    unit = jac / np.linalg.norm(jac, axis=0)
+    return np.linalg.svd(unit, compute_uv=False)[-1] ** 2
+
+
+def _fit_on(jac, r):
+    """fit_trace where every kernel call gives the residual ``r`` and the
+    Jacobian ``jac``: no trial lowers the cost, so the fit ends at its start
+    with ``damping_saturated``."""
+    k = jac.shape[1]
+    n = lineshape._MIN_POINTS_PER_PARAM * k
+    trace = ComplexTrace(np.arange(1.0, n + 1.0), np.zeros(n, complex), TraceKind.S21)
+    config = FitConfig(free_params=PARAM_FIELDS[:k], initial_guess=reference_params())
+    with mock.patch.object(lineshape, "_residuals", lambda *args: (r, jac)):
+        return fit_trace(trace, config)
+
+
+class TestFitterLinearAlgebra:
+    @settings(max_examples=200, deadline=None)
+    @given(synthetic_jacobians(planted=True))
+    def test_planted_null_combination_is_refused(self, case):
+        jac, r, cols = case
+        with pytest.raises(DegenerateParameterError) as err:
+            _fit_on(jac, r)
+        assert err.value.names == tuple(PARAM_FIELDS[i] for i in cols)
+
+    @settings(max_examples=200, deadline=None)
+    @given(synthetic_jacobians())
+    def test_sigma_matches_the_pseudo_inverse(self, case):
+        # a Jacobian that is not refused keeps the 1-sigma of
+        # sqrt(s^2 diag(pinv(J^T J))), with s^2 = r.r / (m - k)
+        jac, r, _ = case
+        assume(_smallest_scaled_eigenvalue(jac) >= 1e-4)
+        result = _fit_on(jac, r)
+        assert result.termination == "damping_saturated"
+        m, k = jac.shape
+        want = np.sqrt((r @ r) / (m - k) * np.diag(np.linalg.pinv(jac.T @ jac)))
+        got = [TWO_PI * result.uncertainties[n] for n in PARAM_FIELDS[:k]]
+        np.testing.assert_allclose(got, want, rtol=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(synthetic_jacobians(), st.floats(-12.0, 13.0))
+    def test_step_matches_the_damped_normal_equations(self, case, log_lam):
+        jac, r, _ = case
+        assume(_smallest_scaled_eigenvalue(jac) >= 1e-4)
+        _, unit, w, v = lineshape._scaled(jac)
+        gram, gradient, lam = unit.T @ unit, unit.T @ r, 10.0**log_lam
+        want = np.linalg.solve(gram + lam * np.eye(len(w)), -gradient)
+        got = lineshape._step(w, v, gradient, lam)
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("gap, refused", [(0.5e-6, True), (2e-6, False)])
+    def test_pair_rule_is_the_eigenvalue_rule(self, gap, refused):
+        # two unit columns with cos = 1 - gap: the Gram matrix's smallest
+        # eigenvalue is gap, refused below 1e-6
+        cos = 1.0 - gap
+        jac = np.zeros((10, 2))
+        jac[0] = 1.0, cos
+        jac[1, 1] = np.sqrt(1.0 - cos * cos)
+        r = np.ones(10)
+        if refused:
+            with pytest.raises(DegenerateParameterError) as err:
+                _fit_on(jac, r)
+            assert err.value.names == PARAM_FIELDS[:2]
+        else:
+            assert _fit_on(jac, r).termination == "damping_saturated"
