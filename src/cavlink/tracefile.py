@@ -20,7 +20,8 @@ import json
 import math
 import os
 import re
-from itertools import repeat
+import warnings
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -31,7 +32,7 @@ _COMPLEX_HEADER = "freq_hz,re,im"
 _POWER_HEADER = "freq_hz,power"
 _KIND_COMMENT = re.compile(r"#\s*kind\s*=\s*(\S+)")
 _UNDECODED = re.compile("[\udc80-\udcff]")  # a byte that is not UTF-8, as surrogateescape reads it
-_BLOCK = 2048  # rows formatted or parsed at a time: the memory a trace file costs beyond its arrays
+_BLOCK = 2048  # rows written, lines read at a time: the memory a trace file costs beyond its arrays
 
 
 def format_float(x) -> str:
@@ -128,58 +129,81 @@ def _table(path, rows, linenos, header, previous):
             _parse_float(token, path, lineno, column)
 
 
+def _plain(lines, header, previous):
+    """The block as one (n, columns) float array if every line is a row of finite
+    values whose frequencies rise from ``previous``, else None. numpy's reader
+    converts each value with the parser float() uses, and refuses comments, blank
+    lines, non-ASCII digits and underscores, which the line walk then handles."""
+    width = 3 if header == _COMPLEX_HEADER else 2
+    with warnings.catch_warnings(), contextlib.suppress(ValueError):
+        warnings.simplefilter("ignore")  # a block of blank lines warns "no data"
+        # max_rows sizes the result once; skipped blank lines leave it short of len(lines)
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, max_rows=len(lines))
+        if table.shape == (len(lines), width) and np.isfinite(table).all():
+            if (np.diff(table[:, 0], prepend=previous) > 0).all():
+                return table
+    return None
+
+
 def read_trace(path) -> ComplexTrace:
     """Parse a UTF-8 trace file; malformed content raises TraceParseError with
     the offending line number. A missing file raises the usual FileNotFoundError
-    so callers can distinguish I/O problems from format problems. The rows are
-    parsed a block at a time, so memory beyond the returned arrays stays small.
+    so callers can distinguish I/O problems from format problems. The file is read
+    a block of lines at a time, so memory beyond the returned arrays stays small.
+    After the header, a block of plain rows goes through numpy's text reader
+    (``_plain``); any other block is walked line by line, with the same outcome.
     """
     kind = None
     header = None
     header_line = lineno = 0  # lineno ends as the line count, which whole-file errors name
-    blocks, rows, linenos = [], [], []  # parsed blocks; the next block's lines and line numbers
+    blocks = []
     previous = -math.inf
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            if not raw.isascii() and (undecoded := _UNDECODED.search(raw)):
-                _table(path, rows, linenos, header, previous)  # earlier bad rows come first
-                byte = ord(undecoded[0]) - 0xDC00
-                raise TraceParseError(path, lineno, f"byte {byte:#04x} is not UTF-8")
-            line = raw.strip()
-            if not line:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
+        while lines := list(islice(handle, _BLOCK)):
+            if header is not None and (table := _plain(lines, header, previous)) is not None:
+                lineno += len(lines)
+                blocks.append(table)
+                previous = table[-1, 0]
                 continue
-            if line.startswith("#"):
-                match = _KIND_COMMENT.match(line)
-                if match:
-                    try:
-                        kind = _parse_kind(match.group(1), path, lineno)
-                    except TraceParseError:  # a bad row before it is reported first
-                        _table(path, rows, linenos, header, previous)
-                        raise
-                continue
-            if header is None:
-                compact = line.replace(" ", "")
-                if compact not in (_COMPLEX_HEADER, _POWER_HEADER):
-                    raise TraceParseError(
-                        path, lineno,
-                        f"expected header {_COMPLEX_HEADER!r} or {_POWER_HEADER!r}, "
-                        f"got {line!r}",
-                    )
-                header = compact
-                header_line = lineno
-                continue
-            rows.append(raw)
-            linenos.append(lineno)
-            if len(rows) == _BLOCK:
+            rows, linenos = [], []  # the block's data lines and their line numbers
+            for lineno, raw in enumerate(lines, lineno + 1):
+                if not raw.isascii() and (undecoded := _UNDECODED.search(raw)):
+                    _table(path, rows, linenos, header, previous)  # earlier bad rows come first
+                    byte = ord(undecoded[0]) - 0xDC00
+                    raise TraceParseError(path, lineno, f"byte {byte:#04x} is not UTF-8")
+                line = raw.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    match = _KIND_COMMENT.match(line)
+                    if match:
+                        try:
+                            kind = _parse_kind(match.group(1), path, lineno)
+                        except TraceParseError:  # a bad row before it is reported first
+                            _table(path, rows, linenos, header, previous)
+                            raise
+                    continue
+                if header is None:
+                    compact = line.replace(" ", "")
+                    if compact not in (_COMPLEX_HEADER, _POWER_HEADER):
+                        raise TraceParseError(
+                            path, lineno,
+                            f"expected header {_COMPLEX_HEADER!r} or {_POWER_HEADER!r}, "
+                            f"got {line!r}",
+                        )
+                    header = compact
+                    header_line = lineno
+                    continue
+                rows.append(raw)
+                linenos.append(lineno)
+            if rows:  # checked at the block's end: none carry over, so the next may go to _plain
                 blocks.append(_table(path, rows, linenos, header, previous))
                 previous = blocks[-1][-1, 0]
-                rows, linenos = [], []
-    blocks.append(_table(path, rows, linenos, header, previous))
-    table = np.concatenate(blocks)
-    del blocks  # before ComplexTrace copies the table
 
     if header is None:
         raise TraceParseError(path, lineno, "no header line found")
+    table = np.concatenate(blocks) if blocks else np.empty((0, 2))
+    del blocks  # before ComplexTrace copies the table
     if len(table) < 2:
         raise TraceParseError(path, lineno, "a trace needs at least 2 samples")
     if header == _POWER_HEADER:
@@ -212,7 +236,7 @@ def load_config(path) -> configparser.ConfigParser:
     can name the default section "\\n", so ``[DEFAULT]`` is an ordinary one."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="\n")
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:  # drops a leading byte-order mark
             parser.read_file(handle, source=str(path))
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None

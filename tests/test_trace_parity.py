@@ -1,12 +1,15 @@
 """read_trace against the line-by-line reader it replaced.
 
 `reference_read_trace` below is the earlier parser, kept as the reference:
-on every edit of a valid file the array reader must return the same trace,
-bit for bit, or raise TraceParseError with the same message and line.
+on every edit of a valid file the block reader must return the same trace,
+bit for bit, or raise TraceParseError with the same message and line, whether
+a block goes through numpy's text reader or the line walk.
 """
 
 import math
 import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -174,6 +177,7 @@ def complex_row(text, row):
 EDITS = {
     "unchanged": lambda t: t,
     "comment_and_blank_mid_data": lambda t: insert_line(insert_line(t, 5, "# note"), 7, "  "),
+    "empty_lines_mid_data": lambda t: insert_line(insert_line(insert_line(t, 5, ""), 5, ""), 5, ""),
     "crlf": lambda t: t.replace("\n", "\r\n"),
     "no_final_newline": lambda t: t.rstrip("\n"),
     "spaces_and_tabs_around_columns": lambda t: on_data(t, lambda r: r.replace(",", " ,\t")),
@@ -292,3 +296,80 @@ def test_generated_files_match_reference(tmp_path_factory, lines, newline):
 def test_generated_files_match_reference_in_blocks_of_2(tmp_path_factory, monkeypatch):
     monkeypatch.setattr(tracefile, "_BLOCK", 2)
     test_generated_files_match_reference(tmp_path_factory)
+
+
+@pytest.mark.parametrize("block", [tracefile._BLOCK, 2])
+@pytest.mark.parametrize("kind", list(TraceKind), ids=lambda k: k.value)
+def test_edited_files_read_without_warnings(tmp_path, monkeypatch, block, kind):
+    # numpy's reader warns on a block of empty lines (lines 7 and 8 of
+    # "empty_lines_mid_data" make one at 2 lines a block); no warning escapes.
+    monkeypatch.setattr(tracefile, "_BLOCK", block)
+    for edit in EDITS.values():
+        path = tmp_path / "edited.csv"
+        path.write_text(edit(valid_text(tmp_path, kind)), newline="")
+        expected = outcome(read_trace, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert outcome(read_trace, path) == expected
+
+
+@pytest.mark.parametrize("kind", [TraceKind.S21, TraceKind.POWER], ids=lambda k: k.value)
+def test_plain_blocks_skip_the_line_walk(tmp_path, monkeypatch, kind):
+    # Only blocks with comments, the header or unusual lines are walked and
+    # checked by _table, so its call count does not grow with the row count.
+    calls = []
+    table = tracefile._table
+    monkeypatch.setattr(tracefile, "_table", lambda *args: calls.append(args) or table(*args))
+    counts = []
+    for rows in (4_000, 20_000):
+        path = tmp_path / f"plain{rows}.csv"
+        values = np.full(rows, 0.5 if kind is TraceKind.POWER else 0.5 - 0.25j)
+        write_trace(path, ComplexTrace(np.linspace(6.9e9, 7.1e9, rows), values, kind))
+        calls.clear()
+        assert len(read_trace(path)) == rows
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+_BAD_TOKENS = ["x", "", "nan", "-inf", "1e309", "1_0", "١٢", "0x1p3", "1 2", "#"]
+_EXTRA_LINES = ["# note", "# kind = s11", "# kind = power_normalized", "#kind=s21",
+                "# kind = s99", "", "   ", "\t"]
+_EDITS = st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, 10**6), st.sampled_from(_EXTRA_LINES)),
+    st.tuples(st.just("bad_token"), st.integers(0, 10**6), st.sampled_from(_BAD_TOKENS)),
+)
+
+
+@given(
+    block=st.sampled_from([2, 3, 5]),
+    kind=st.sampled_from(list(TraceKind)),
+    extra_rows=st.integers(0, 6),
+    values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=42, max_size=42),
+    edits=st.lists(_EDITS, max_size=4),
+    crlf=st.booleans(),
+)
+def test_block_edges_match_reference(tmp_path_factory, block, kind, extra_rows, values, edits,
+                                     crlf):
+    # A written trace of at least three blocks, edited at drawn lines: each
+    # block either parses whole in numpy's reader or is walked line by line.
+    n = 3 * block + extra_rows
+    values = np.array(values[:2 * n])
+    if kind is TraceKind.POWER:
+        values = np.abs(values[:n])
+    else:
+        values = values.view(complex)
+    folder = tmp_path_factory.mktemp("edges")
+    write_trace(folder / "valid.csv", ComplexTrace(6.9e9 + 1e3 * np.arange(n), values, kind))
+    lines = (folder / "valid.csv").read_text().split("\n")[:-1]
+    for edit, where, token in edits:
+        if edit == "insert":
+            lines.insert(where % (len(lines) + 1), token)
+        else:
+            index = 3 + where % (len(lines) - 3)  # a line after the header
+            columns = lines[index].split(",")
+            columns[where % len(columns)] = token
+            lines[index] = ",".join(columns)
+    path = folder / "edited.csv"
+    path.write_text("".join(line + "\n" for line in lines), newline="\r\n" if crlf else "\n")
+    with mock.patch.object(tracefile, "_BLOCK", block):
+        assert_same_outcome(path)

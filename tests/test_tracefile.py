@@ -246,6 +246,17 @@ class TestParseErrors:
         path.write_bytes("# note: température\nfreq_hz,power\n1,0.5\n2,0.4\n".encode("utf-8"))
         assert len(read_trace(path)) == 2
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # as Notepad or Excel's "CSV UTF-8" saves a trace: BOM first, CRLF endings
+        path = tmp_path / "bom.csv"
+        text = "# cavlink trace\r\n# kind = s11\r\nfreq_hz,re,im\r\n1,0.5,0\r\n2,0.4,0.1\r\n"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        trace = read_trace(path)
+        assert trace.kind is TraceKind.S11
+        assert np.array_equal(trace.values, [0.5, 0.4 + 0.1j])
+        write_trace(path, trace)
+        assert not path.read_bytes().startswith(b"\xef\xbb\xbf")
+
     def test_error_carries_location(self, tmp_path):
         path = self.write(tmp_path, "freq_hz,re,im\n1,0,0\n2,x,0\n")
         with pytest.raises(TraceParseError) as err:
@@ -365,6 +376,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"run\.ini: byte 0xe9 is not UTF-8"):
             load_config(path)
         path.write_bytes("[grid]\n; température\nf_start_hz = 1\n".encode("utf-8"))
+        assert load_config(path).get("grid", "f_start_hz") == "1"
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_bytes(b"\xef\xbb\xbf" + self.GRID.encode("utf-8"))
         assert load_config(path).get("grid", "f_start_hz") == "1"
 
     def test_float_required_and_invalid(self, tmp_path):
