@@ -21,7 +21,7 @@ import math
 import os
 import re
 import warnings
-from itertools import islice, repeat
+from itertools import islice
 
 import numpy as np
 
@@ -106,35 +106,24 @@ def _parse_float(token, path, lineno, column):
     return value
 
 
-def _table(path, rows, linenos, header, previous):
-    """The data rows as one (n, columns) float array, each value converted once by float();
-    only if a check fails are the rows walked, in order, to raise the first bad one's error.
-    ``previous`` is the frequency before the first row's (-inf for none)."""
-    width = 3 if header == _COMPLEX_HEADER else 2
-    with contextlib.suppress(ValueError):  # a non-number, named by the walk
-        if set(map(str.count, rows, repeat(","))) <= {width - 1}:
-            values = map(float, map(str.strip, ",".join(rows).split(",")))
-            table = np.fromiter(values, float, len(rows) * width).reshape(-1, width)
-            if np.isfinite(table).all() and (np.diff(table[:, 0], prepend=previous) > 0).all():
-                return table
-    for lineno, row in zip(linenos, rows):
-        columns = [c.strip() for c in row.split(",")]
-        if len(columns) != width:
-            raise TraceParseError(path, lineno, f"expected {width} columns, got {len(columns)}")
-        f = _parse_float(columns[0], path, lineno, 1)
-        if f <= previous:
-            raise TraceParseError(path, lineno, "frequencies must be strictly increasing")
-        previous = f
-        for column, token in enumerate(columns[1:], 2):
-            _parse_float(token, path, lineno, column)
+def _text(raw, path, lineno, kind):
+    """A line's text ("" for a blank or comment line) and the trace kind after it,
+    which a ``# kind = ...`` comment sets. A byte that is not UTF-8 raises."""
+    if not raw.isascii() and (undecoded := _UNDECODED.search(raw)):
+        byte = ord(undecoded[0]) - 0xDC00
+        raise TraceParseError(path, lineno, f"byte {byte:#04x} is not UTF-8")
+    line = raw.strip()
+    if line.startswith("#"):
+        match = _KIND_COMMENT.match(line)
+        return "", _parse_kind(match.group(1), path, lineno) if match else kind
+    return line, kind
 
 
-def _plain(lines, header, previous):
-    """The block as one (n, columns) float array if every line is a row of finite
+def _plain(lines, width, previous):
+    """The block as one (n, width) float array if every line is a row of finite
     values whose frequencies rise from ``previous``, else None. numpy's reader
     converts each value with the parser float() uses, and refuses comments, blank
-    lines, non-ASCII digits and underscores, which the line walk then handles."""
-    width = 3 if header == _COMPLEX_HEADER else 2
+    lines, non-ASCII digits and underscores, which ``_walk`` then handles."""
     with warnings.catch_warnings(), contextlib.suppress(ValueError):
         warnings.simplefilter("ignore")  # a block of blank lines warns "no data"
         # max_rows sizes the result once; skipped blank lines leave it short of len(lines)
@@ -145,60 +134,64 @@ def _plain(lines, header, previous):
     return None
 
 
+def _walk(path, lines, lineno, width, previous, kind):
+    """A block read a line at a time, each value by float(): the first fault in line
+    order raises, else the block's rows as an (n, width) array and the kind its
+    comments leave. ``lineno`` is the number of the line before the block, and
+    ``previous`` the frequency before its first row's (-inf for none)."""
+    values = []  # row after row: one flat list converts to an array fastest
+    for lineno, raw in enumerate(lines, lineno + 1):
+        line, kind = _text(raw, path, lineno, kind)
+        if not line:
+            continue
+        columns = [c.strip() for c in line.split(",")]
+        if len(columns) != width:
+            raise TraceParseError(path, lineno, f"expected {width} columns, got {len(columns)}")
+        f = _parse_float(columns[0], path, lineno, 1)
+        if f <= previous:
+            raise TraceParseError(path, lineno, "frequencies must be strictly increasing")
+        values.append(previous := f)
+        for column, token in enumerate(columns[1:], 2):
+            values.append(_parse_float(token, path, lineno, column))
+    return np.array(values).reshape(-1, width), kind
+
+
 def read_trace(path) -> ComplexTrace:
     """Parse a UTF-8 trace file; malformed content raises TraceParseError with
     the offending line number. A missing file raises the usual FileNotFoundError
-    so callers can distinguish I/O problems from format problems. The file is read
-    a block of lines at a time, so memory beyond the returned arrays stays small.
-    After the header, a block of plain rows goes through numpy's text reader
-    (``_plain``); any other block is walked line by line, with the same outcome.
+    so callers can distinguish I/O problems from format problems. The lines up to
+    the header are read one at a time, the rest a block of lines at a time, so
+    memory beyond the returned arrays stays small. A block of plain rows goes
+    through numpy's text reader (``_plain``); any other is walked line by line
+    (``_walk``), with the same outcome.
     """
     kind = None
     header = None
-    header_line = lineno = 0  # lineno ends as the line count, which whole-file errors name
+    lineno = 0  # ends as the line count, which whole-file errors name
     blocks = []
     previous = -math.inf
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
+        for lineno, raw in enumerate(handle, 1):
+            line, kind = _text(raw, path, lineno, kind)
+            if line:
+                header = line.replace(" ", "")
+                if header not in (_COMPLEX_HEADER, _POWER_HEADER):
+                    raise TraceParseError(
+                        path, lineno,
+                        f"expected header {_COMPLEX_HEADER!r} or {_POWER_HEADER!r}, "
+                        f"got {line!r}",
+                    )
+                break
+        header_line = lineno
+        width = 3 if header == _COMPLEX_HEADER else 2
         while lines := list(islice(handle, _BLOCK)):
-            if header is not None and (table := _plain(lines, header, previous)) is not None:
-                lineno += len(lines)
+            table = _plain(lines, width, previous)
+            if table is None:
+                table, kind = _walk(path, lines, lineno, width, previous, kind)
+            lineno += len(lines)
+            if len(table):
                 blocks.append(table)
                 previous = table[-1, 0]
-                continue
-            rows, linenos = [], []  # the block's data lines and their line numbers
-            for lineno, raw in enumerate(lines, lineno + 1):
-                if not raw.isascii() and (undecoded := _UNDECODED.search(raw)):
-                    _table(path, rows, linenos, header, previous)  # earlier bad rows come first
-                    byte = ord(undecoded[0]) - 0xDC00
-                    raise TraceParseError(path, lineno, f"byte {byte:#04x} is not UTF-8")
-                line = raw.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    match = _KIND_COMMENT.match(line)
-                    if match:
-                        try:
-                            kind = _parse_kind(match.group(1), path, lineno)
-                        except TraceParseError:  # a bad row before it is reported first
-                            _table(path, rows, linenos, header, previous)
-                            raise
-                    continue
-                if header is None:
-                    compact = line.replace(" ", "")
-                    if compact not in (_COMPLEX_HEADER, _POWER_HEADER):
-                        raise TraceParseError(
-                            path, lineno,
-                            f"expected header {_COMPLEX_HEADER!r} or {_POWER_HEADER!r}, "
-                            f"got {line!r}",
-                        )
-                    header = compact
-                    header_line = lineno
-                    continue
-                rows.append(raw)
-                linenos.append(lineno)
-            if rows:  # checked at the block's end: none carry over, so the next may go to _plain
-                blocks.append(_table(path, rows, linenos, header, previous))
-                previous = blocks[-1][-1, 0]
 
     if header is None:
         raise TraceParseError(path, lineno, "no header line found")

@@ -47,7 +47,7 @@ def _parse_float(token, path, lineno, column):
 
 
 def reference_read_trace(path) -> ComplexTrace:
-    with open(path, "r") as handle:
+    with open(path, "r", encoding="utf-8") as handle:
         raw_lines = handle.readlines()
 
     kind = None
@@ -148,7 +148,7 @@ def valid_text(tmp_path, kind):
         values = np.array([-0.0 + 0.5j, 0.25 - 0.0j, -1e300j, 5e-324 + 1j, 0.1, -0.2 - 0.3j])
     path = tmp_path / "valid.csv"
     write_trace(path, ComplexTrace(f, values, kind))
-    return path.read_text()
+    return path.read_text(encoding="utf-8")
 
 
 def replace_line(text, index, new):
@@ -230,7 +230,7 @@ EDITS = {
 @pytest.mark.parametrize("edit", list(EDITS), ids=str)
 def test_edited_file_matches_reference(tmp_path, kind, edit):
     path = tmp_path / "edited.csv"
-    path.write_text(EDITS[edit](valid_text(tmp_path, kind)), newline="")
+    path.write_text(EDITS[edit](valid_text(tmp_path, kind)), encoding="utf-8", newline="")
     assert_same_outcome(path)
 
 
@@ -241,7 +241,8 @@ def test_edited_file_matches_reference_in_blocks_of_2(tmp_path, monkeypatch, kin
     test_edited_file_matches_reference(tmp_path, kind, edit)
 
 
-# Files of 2-row blocks: lines 2-3 hold the first block, 4-5 the second.
+# Files of 2-row blocks: the lines up to the header are read one at a time,
+# then (with the header on line 1) lines 2-3 hold the first block, 4-5 the second.
 BLOCK_EDGES = {
     "frequency_repeated_across_blocks": (
         "freq_hz,power\n1,0.5\n2,0.5\n2,0.4\n3,0.3\n", 4, "strictly increasing"),
@@ -249,6 +250,13 @@ BLOCK_EDGES = {
         "freq_hz,power\n1,0.5\n2,0.5\n# kind = s99\n3,0.3\n", 4, "unknown trace kind"),
     "non_number_ends_full_block": (
         "freq_hz,re,im\n1,0,0\n2,0,x\n3,0,0\n", 3, "column 3: 'x' is not a number"),
+    "comments_and_blanks_longer_than_a_block_before_header": (
+        "# cavlink trace\n\n# note\n  \n# kind = power_normalized\nfreq_hz,power\n1,0.5\n2,x\n",
+        8, "column 2: 'x' is not a number"),
+    "unknown_kind_before_header": (
+        "# note\n# kind = s99\nfreq_hz,power\n1,0.5\n2,0.5\n", 2, "unknown trace kind"),
+    "header_is_last_line": (
+        "# cavlink trace\n\n# kind = s21\nfreq_hz,re,im", 4, "at least 2 samples"),
 }
 
 
@@ -257,7 +265,7 @@ def test_block_edges(tmp_path, monkeypatch, case):
     monkeypatch.setattr(tracefile, "_BLOCK", 2)
     text, line, message = BLOCK_EDGES[case]
     path = tmp_path / "edge.csv"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     kind, got, lineno = assert_same_outcome(path)
     assert (kind, lineno) == ("error", line)
     assert message in got
@@ -268,7 +276,7 @@ def test_edits_reach_both_outcomes(tmp_path):
     seen = set()
     for edit in EDITS.values():
         path = tmp_path / "edited.csv"
-        path.write_text(edit(valid_text(tmp_path, TraceKind.S21)), newline="")
+        path.write_text(edit(valid_text(tmp_path, TraceKind.S21)), encoding="utf-8", newline="")
         seen.add(assert_same_outcome(path)[0])
     assert seen == {"trace", "error"}
 
@@ -287,9 +295,9 @@ _LINES = st.one_of(
 @given(lines=st.lists(_LINES, max_size=12), newline=st.sampled_from(["\n", "\r\n"]))
 def test_generated_files_match_reference(tmp_path_factory, lines, newline):
     path = tmp_path_factory.mktemp("gen") / "gen.csv"
-    path.write_text("freq_hz,re,im\n" + newline.join(lines), newline="")
+    path.write_text("freq_hz,re,im\n" + newline.join(lines), encoding="utf-8", newline="")
     assert_same_outcome(path)
-    path.write_text("freq_hz,power\n" + newline.join(lines), newline="")
+    path.write_text("freq_hz,power\n" + newline.join(lines), encoding="utf-8", newline="")
     assert_same_outcome(path)
 
 
@@ -306,7 +314,7 @@ def test_edited_files_read_without_warnings(tmp_path, monkeypatch, block, kind):
     monkeypatch.setattr(tracefile, "_BLOCK", block)
     for edit in EDITS.values():
         path = tmp_path / "edited.csv"
-        path.write_text(edit(valid_text(tmp_path, kind)), newline="")
+        path.write_text(edit(valid_text(tmp_path, kind)), encoding="utf-8", newline="")
         expected = outcome(read_trace, path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -315,20 +323,17 @@ def test_edited_files_read_without_warnings(tmp_path, monkeypatch, block, kind):
 
 @pytest.mark.parametrize("kind", [TraceKind.S21, TraceKind.POWER], ids=lambda k: k.value)
 def test_plain_blocks_skip_the_line_walk(tmp_path, monkeypatch, kind):
-    # Only blocks with comments, the header or unusual lines are walked and
-    # checked by _table, so its call count does not grow with the row count.
+    # Every block of a written file, the first after the header included, is
+    # plain rows that numpy's reader takes whole: none is walked line by line.
     calls = []
-    table = tracefile._table
-    monkeypatch.setattr(tracefile, "_table", lambda *args: calls.append(args) or table(*args))
-    counts = []
-    for rows in (4_000, 20_000):
+    walk = tracefile._walk
+    monkeypatch.setattr(tracefile, "_walk", lambda *args: calls.append(args) or walk(*args))
+    for rows in (801, 4_000, 20_000):
         path = tmp_path / f"plain{rows}.csv"
         values = np.full(rows, 0.5 if kind is TraceKind.POWER else 0.5 - 0.25j)
         write_trace(path, ComplexTrace(np.linspace(6.9e9, 7.1e9, rows), values, kind))
-        calls.clear()
         assert len(read_trace(path)) == rows
-        counts.append(len(calls))
-    assert counts[0] == counts[1]
+        assert not calls, rows
 
 
 _BAD_TOKENS = ["x", "", "nan", "-inf", "1e309", "1_0", "١٢", "0x1p3", "1 2", "#"]
@@ -360,7 +365,7 @@ def test_block_edges_match_reference(tmp_path_factory, block, kind, extra_rows, 
         values = values.view(complex)
     folder = tmp_path_factory.mktemp("edges")
     write_trace(folder / "valid.csv", ComplexTrace(6.9e9 + 1e3 * np.arange(n), values, kind))
-    lines = (folder / "valid.csv").read_text().split("\n")[:-1]
+    lines = (folder / "valid.csv").read_text(encoding="utf-8").split("\n")[:-1]
     for edit, where, token in edits:
         if edit == "insert":
             lines.insert(where % (len(lines) + 1), token)
@@ -370,6 +375,7 @@ def test_block_edges_match_reference(tmp_path_factory, block, kind, extra_rows, 
             columns[where % len(columns)] = token
             lines[index] = ",".join(columns)
     path = folder / "edited.csv"
-    path.write_text("".join(line + "\n" for line in lines), newline="\r\n" if crlf else "\n")
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8",
+                    newline="\r\n" if crlf else "\n")
     with mock.patch.object(tracefile, "_BLOCK", block):
         assert_same_outcome(path)

@@ -65,16 +65,17 @@ class TestRoundTrip:
 
     def test_headers_imply_kind(self, tmp_path):
         path = tmp_path / "bare.csv"
-        path.write_text("freq_hz,re,im\n1.0,0.5,0.0\n2.0,0.4,0.1\n")
+        path.write_text("freq_hz,re,im\n1.0,0.5,0.0\n2.0,0.4,0.1\n", encoding="utf-8")
         assert read_trace(path).kind is TraceKind.S21
-        path.write_text("freq_hz,power\n1.0,0.5\n2.0,0.4\n")
+        path.write_text("freq_hz,power\n1.0,0.5\n2.0,0.4\n", encoding="utf-8")
         assert read_trace(path).kind is TraceKind.POWER
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "sparse.csv"
         path.write_text(
             "# produced by hand\n\n# kind = s11\nfreq_hz , re , im\n"
-            "1.0, 0.5, 0.0\n\n# midway note\n2.0, 0.4, 0.1\n"
+            "1.0, 0.5, 0.0\n\n# midway note\n2.0, 0.4, 0.1\n",
+            encoding="utf-8",
         )
         trace = read_trace(path)
         assert trace.kind is TraceKind.S11
@@ -163,7 +164,7 @@ class TestMemory:
 class TestParseErrors:
     def write(self, tmp_path, text):
         path = tmp_path / "bad.csv"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         return path
 
     def test_unknown_kind(self, tmp_path):
@@ -269,7 +270,7 @@ class TestAtomicWrites:
     def test_no_temp_files_left(self, tmp_path):
         path = tmp_path / "out.txt"
         write_text_atomic(path, "payload\n")
-        assert path.read_text() == "payload\n"
+        assert path.read_text(encoding="utf-8") == "payload\n"
         leftovers = [n for n in os.listdir(tmp_path) if n.startswith(".cavlink-")]
         assert leftovers == []
 
@@ -284,14 +285,14 @@ class TestAtomicWrites:
         path = tmp_path / "out.txt"
         write_text_atomic(path, "a much longer first payload\n")
         write_text_atomic(path, "short\n")
-        assert path.read_text() == "short\n"
+        assert path.read_text(encoding="utf-8") == "short\n"
 
     @pytest.mark.parametrize("umask", [0o022, 0o002, 0o077], ids=oct)
     def test_written_files_follow_the_umask(self, tmp_path, umask):
         # the mode open(path, "w") gives a new file, also when one is replaced
         old = os.umask(umask)
         try:
-            (tmp_path / "old.txt").write_text("")
+            (tmp_path / "old.txt").write_text("", encoding="utf-8")
             os.chmod(tmp_path / "old.txt", 0o644)
             write_text_atomic(tmp_path / "old.txt", "payload\n")
             write_text_atomic(tmp_path / "new.txt", "payload\n")
@@ -306,7 +307,7 @@ class TestAtomicWrites:
         path = tmp_path / "report.json"
         payload = {"b": 2, "a": [1.5, None]}
         write_json(path, payload)
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
         assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert json.loads(text) == payload
 
@@ -318,7 +319,7 @@ class TestConfig:
 
     def write(self, tmp_path, text):
         path = tmp_path / "run.ini"
-        path.write_text(text)
+        path.write_text(text, encoding="utf-8")
         return path
 
     def read(self, tmp_path, command, text, preset="hat270"):
@@ -338,7 +339,7 @@ class TestConfig:
         # omit's), each block reads without error, and the README names every
         # table key.
         readme_path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
-        with open(readme_path) as handle:
+        with open(readme_path, encoding="utf-8") as handle:
             readme = handle.read()
         blocks = [b.split("```")[0] for b in readme.split("```ini\n")[1:]]
         assert len(blocks) == 5
