@@ -223,14 +223,16 @@ def _scattering(om, theta, kind, free=(), self_energy=()):
     D -> inf, so S21 -> 0 and S11 -> 1.
 
     ``free`` lists indices into PARAM_FIELDS. When it is non-empty the kernel
-    returns ``(values, jac)`` with ``jac[:, k] = dS/dtheta[free[k]]``, from
-    q = 1/D and u = g q / L = g / (L C + g^2), where C = D - g^2/L is the
-    bare cavity term:
+    returns ``(values, jac)`` with ``jac[:, k] = dS/dtheta[free[k]]`` (the
+    transpose of a C-contiguous array), from q = 1/D = L / (L C + g^2) and
+    u = g q / L = g / (L C + g^2), which share one reciprocal; C = D - g^2/L
+    is the bare cavity term, and q = 1/C when g = 0:
 
         dq/domega_cav = -i q^2,   dq/dkappa_cav_{1,2,loss} = -q^2 / 2,
         dq/domega_lc  = +i u^2,   dq/dkappa_lc_bare = u^2 / 2,   dq/dg = -2 q u,
 
-    which stay finite where L vanishes. Otherwise it returns the values.
+    which stay finite where L vanishes (q = 0, u = 1/g). Otherwise it returns
+    the values.
 
     Raises
     ------
@@ -260,8 +262,11 @@ def _scattering(om, theta, kind, free=(), self_energy=()):
     if not free:
         return values
 
-    q = np.divide(1.0, d, out=np.zeros_like(d), where=live)
-    u = g / (lc_inverse * cavity + g * g) if g != 0.0 else 0.0
+    if g == 0.0:
+        q, u = 1.0 / d, 0.0
+    else:
+        inv = 1.0 / (lc_inverse * cavity + g * g)  # 1/g^2 where L vanishes: q = 0
+        q, u = lc_inverse * inv, g * inv
     # S = prefactor * q (+ 1 for S11), so dS/dtheta = prefactor * dq/dtheta
     # plus the prefactor's own derivative times q.
     if kind is TraceKind.S21:
@@ -270,13 +275,13 @@ def _scattering(om, theta, kind, free=(), self_energy=()):
     else:
         prefactor = -k1
         own = {2: -1.0}
-    pq2, pu2 = prefactor * q * q, prefactor * u * u
-    rate = -0.5 * pq2
-    # prefactor * dq/dtheta in PARAM_FIELDS order
-    dq = (-1j * pq2, 1j * pu2, rate, rate, rate, 0.5 * pu2, -2.0 * prefactor * q * u)
+    # dq/dtheta = c a b in PARAM_FIELDS order; only the free rows are built
+    slopes = ((-1j, q, q), (1j, u, u), (-0.5, q, q), (-0.5, q, q), (-0.5, q, q),
+              (0.5, u, u), (-2.0, q, u))
     jac = np.empty((len(free), om.size), dtype=complex)
     for row, index in enumerate(free):
-        jac[row] = dq[index]
+        c, a, b = slopes[index]
+        np.multiply(c * prefactor * a, b, out=jac[row])
         if index in own:
             jac[row] += own[index] * q
     return values, jac.T

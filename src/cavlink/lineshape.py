@@ -243,7 +243,8 @@ def _residuals(om, theta, kind, data, free):
 
     ``om``, ``theta`` and ``free`` are as for the model kernel; ``data`` is
     the trace's values. Returns ``(r, jac)``, both real-valued, with the
-    closed-form Jacobian. Complex kinds stack the real and imaginary parts.
+    closed-form Jacobian. Complex kinds give float views, not copies: row 2i
+    holds the real part of sample i and row 2i + 1 its imaginary part.
     Power traces profile out the scale of p = |S21|^2 (variable projection):
     r = s p - data with s = (p . data) / (p . p), so dr = s dp + p ds with
     ds = (data . dp - 2 s p . dp) / (p . p).
@@ -251,8 +252,7 @@ def _residuals(om, theta, kind, data, free):
     power = kind is TraceKind.POWER
     model, jac = _scattering(om, theta, TraceKind.S21 if power else kind, free)
     if not power:
-        diff = model - data
-        return np.concatenate([diff.real, diff.imag]), np.concatenate([jac.real, jac.imag])
+        return (model - data).view(float), jac.T.view(float).T
     p = np.abs(model) ** 2
     norm = p @ p or 1.0  # an all-zero model: p = dp = 0, so s = 0
     s = (p @ data) / norm
@@ -262,11 +262,13 @@ def _residuals(om, theta, kind, data, free):
 
 
 def _scaled(jac):
-    """Column norms of ``jac``, its unit columns (a null column stays null)
-    and the ascending eigenpairs ``w``, ``v`` of their Gram matrix."""
-    norms = np.linalg.norm(jac, axis=0)
-    unit = jac / np.where(norms == 0.0, 1.0, norms)
-    return norms, unit, *np.linalg.eigh(unit.T @ unit)
+    """Column norms of ``jac`` from the diagonal of J^T J, the same with 0
+    read as 1 (``safe``), and the ascending eigenpairs ``w``, ``v`` of the
+    unit columns' Gram matrix J^T J / outer(safe, safe)."""
+    gram = jac.T @ jac
+    norms = np.sqrt(gram.diagonal())
+    safe = np.where(norms == 0.0, 1.0, norms)
+    return norms, safe, *np.linalg.eigh(gram / np.outer(safe, safe))
 
 
 def _check_degenerate(norms, w, v, names):
@@ -335,8 +337,8 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
     evaluations = 0
 
     def evaluate(xv):
-        # np.clip keeps a trial inside the box, which lies in the model's
-        # domain; a non-finite trial or residual counts as infinitely costly.
+        # Clipping keeps a trial inside the box, which lies in the model's
+        # domain; a non-finite trial or residual costs inf or nan: never taken.
         nonlocal evaluations
         if not np.all(np.isfinite(xv)):
             return np.inf, None, None
@@ -344,14 +346,14 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
         for index, value in zip(free, xv):
             theta[index] = float(value)
         r, jac = _residuals(om, theta, trace.kind, data, free)
-        return (float(r @ r) if np.all(np.isfinite(r)) else np.inf), r, jac
+        return float(r @ r), r, jac
 
     cost, r_cur, jac = evaluate(x)
     if not np.all(np.isfinite(r_cur)):
         raise InvalidInputError("initial guess is outside the model's domain")
     m = r_cur.size
     trajectory = [cost]
-    norms, unit, w, v = _scaled(jac)
+    norms, safe, w, v = _scaled(jac)
     _check_degenerate(norms, w, v, names)
 
     lam = 1e-3
@@ -361,10 +363,10 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
         if cost <= floor:
             termination = "cost_floor"
             break
-        gradient = unit.T @ r_cur
+        gradient = (jac.T @ r_cur) / safe  # of the unit columns
         while lam < 1e14:
             step = _step(w, v, gradient, lam)  # lam diag(J^T J) is lam I on unit columns
-            x_new = np.clip(x + step / np.where(norms == 0.0, 1.0, norms), lo, hi)
+            x_new = np.minimum(np.maximum(x + step / safe, lo), hi)
             cost_new, r_new, jac_new = evaluate(x_new)
             if cost_new < cost:
                 break
@@ -378,8 +380,8 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
         rel_step = float(np.max(np.abs(x_new - x) / np.maximum(np.abs(x), 1.0)))
         # The accepted trial's Jacobian is the next step's, scaled once; the
         # last one also gives the covariance.
-        x, cost, r_cur = x_new, cost_new, r_new
-        norms, unit, w, v = _scaled(jac_new)
+        x, cost, r_cur, jac = x_new, cost_new, r_new, jac_new
+        _, safe, w, v = _scaled(jac)
         trajectory.append(cost)
         lam = max(lam / 3.0, 1e-12)
         if rel_drop <= config.tolerance:
@@ -393,7 +395,7 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
     # eigenvalues at or below 1e-15 of the largest. A null column gets 0.
     kept = w > 1e-15 * w[-1]
     variance = cost / max(m - len(names), 1) * (v[:, kept] ** 2 @ (1.0 / w[kept]))
-    sigmas = np.sqrt(variance) / np.where(norms == 0.0, 1.0, norms)
+    sigmas = np.sqrt(variance) / safe
     uncertainties = {n: angular_to_hz(float(s)) for n, s in zip(names, sigmas)}
 
     with warnings.catch_warnings():
@@ -430,12 +432,14 @@ def auto_initial_guess(trace: ComplexTrace, template: SystemParams) -> SystemPar
         raise InvalidInputError("no feature rises above 3x the median power")
 
     # The span walks run over Python floats: indexing numpy scalars one at
-    # a time costs several times more.
+    # a time costs several times more. Non-maximum suppression marks each
+    # claimed half-max span by index, as good as by frequency: f rises.
     fl, pl = f.tolist(), p.tolist()
     last = len(pl) - 1
-    peaks = []  # (freq, width, spans) with non-maximum suppression
+    claimed = bytearray(len(pl))
+    peaks = []  # (freq, width)
     for i in idx[np.argsort(-p[idx], kind="stable")].tolist():
-        if any(plo <= fl[i] <= phi for _, _, (plo, phi) in peaks):
+        if claimed[i]:
             continue
         level = med + 0.5 * (pl[i] - med)
         l = i
@@ -444,11 +448,12 @@ def auto_initial_guess(trace: ComplexTrace, template: SystemParams) -> SystemPar
         r = i
         while r < last and pl[r] > level:
             r += 1
+        claimed[l : r + 1] = b"\x01" * (r + 1 - l)
         # Power-weighted centroid over the half-max span; the raw argmax
         # wanders by a good fraction of the linewidth on a noisy flat top.
         weight = np.clip(p[l : r + 1] - med, 0.0, None)
         center = float(np.sum(f[l : r + 1] * weight) / np.sum(weight))
-        peaks.append((center, fl[r] - fl[l], (fl[l], fl[r])))
+        peaks.append((center, fl[r] - fl[l]))
     if len(peaks) < 2:
         raise InvalidInputError(
             "fewer than two resolvable features above 3x the median power"

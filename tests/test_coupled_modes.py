@@ -547,3 +547,95 @@ class TestBareDetuning:
         # the dressed frequencies round at the ~1e10 rad/s carrier, and the
         # inverse scales that error by dDelta/dT, at most about 4 here
         assert bare == pytest.approx(p.omega_cav - p.omega_lc, rel=1e-11, abs=1e-14 * p.omega_lc)
+
+
+# -- the kernel's Jacobian from one shared denominator -------------------------
+
+from cavlink import HAT_PRESETS  # noqa: E402
+from cavlink.coupled_modes import _root_slope, _scattering, _theta  # noqa: E402
+
+_ALL = tuple(range(7))
+
+
+def _masked_jacobian(om, theta, kind):
+    """Reference: the Jacobian with q = 1/D from a masked division (0 where
+    L vanishes) and u = g / (L C + g^2) from a second one, all seven columns
+    built before the free ones are picked."""
+    omega_cav, omega_lc, k1, k2, k_loss, k_lc, g = theta
+    lc_inverse = 1j * (omega_lc - om) + 0.5 * k_lc
+    cavity = 1j * (omega_cav - om) + 0.5 * (k1 + k2 + k_loss)
+    live = np.ones(om.shape, bool) if g == 0.0 else lc_inverse != 0.0
+    d = cavity + np.divide(g * g, lc_inverse, out=np.zeros_like(cavity), where=live)
+    q = np.divide(1.0, d, out=np.zeros_like(d), where=live)
+    u = g / (lc_inverse * cavity + g * g) if g != 0.0 else 0.0
+    if kind is TraceKind.S21:
+        prefactor = np.sqrt(k1 * k2)
+        own = {2: _root_slope(k1, k2), 3: _root_slope(k2, k1)}
+    else:
+        prefactor, own = -k1, {2: -1.0}
+    pq2, pu2 = prefactor * q * q, prefactor * u * u
+    dq = (-1j * pq2, 1j * pu2, -0.5 * pq2, -0.5 * pq2, -0.5 * pq2, 0.5 * pu2,
+          -2.0 * prefactor * q * u)
+    jac = np.empty((7, om.size), complex)
+    for row in _ALL:
+        jac[row] = dq[row] + own.get(row, 0.0) * q
+    return jac.T
+
+
+class TestKernelJacobian:
+    @pytest.mark.parametrize("kind", [TraceKind.S21, TraceKind.S11])
+    def test_lossless_lc_on_resonance_takes_the_limit(self, kind):
+        # L = 0 exactly at omega_lc: D -> inf, so q = 0 and u = 1/g there,
+        # with no division by zero on the way
+        p = HAT_PRESETS["hat270"].replace(kappa_lc_bare=0.0)
+        theta = list(_theta(p))
+        om = p.omega_lc + np.array([-1e-3, 0.0, 1e-3])
+        with np.errstate(all="raise"):
+            values, jac = _scattering(om, theta, kind, _ALL)
+        assert np.all(np.isfinite(jac))
+        assert values[1] == (0.0 if kind is TraceKind.S21 else 1.0)
+        prefactor = np.sqrt(p.kappa_cav_1 * p.kappa_cav_2) if kind is TraceKind.S21 \
+            else -p.kappa_cav_1
+        limit = np.zeros(7, complex)
+        limit[1], limit[5] = 1j * prefactor / p.g**2, 0.5 * prefactor / p.g**2
+        np.testing.assert_allclose(jac[1], limit, rtol=1e-15, atol=0.0)
+        # and the neighbours a milli-rad/s away approach it
+        scale = np.max(np.abs(limit))
+        for side in (0, 2):
+            assert np.max(np.abs(jac[side] - limit)) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("hat", sorted(HAT_PRESETS))
+    @pytest.mark.parametrize("kind", [TraceKind.S21, TraceKind.S11])
+    def test_uncoupled_columns_match_the_masked_formulas(self, hat, kind):
+        p = HAT_PRESETS[hat]
+        theta = list(_theta(p))
+        theta[6] = 0.0
+        om = TWO_PI * merged_grid(p)
+        _, jac = _scattering(om, theta, kind, _ALL)
+        want = _masked_jacobian(om, theta, kind)
+        assert np.all(jac[:, 6] == 0.0)  # dD/dg = 2g/L vanishes with g
+        scale = np.max(np.abs(want), axis=0)
+        assert np.all(np.abs(jac - want) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("hat", sorted(HAT_PRESETS))
+    @pytest.mark.parametrize("kind", [TraceKind.S21, TraceKind.S11])
+    def test_coupled_columns_match_the_masked_formulas(self, hat, kind):
+        p = HAT_PRESETS[hat]
+        om = TWO_PI * merged_grid(p)
+        theta = list(_theta(p))
+        _, jac = _scattering(om, theta, kind, _ALL)
+        want = _masked_jacobian(om, theta, kind)
+        scale = np.max(np.abs(want), axis=0)
+        assert np.all(np.abs(jac - want) <= 1e-13 * scale)
+        # the free columns alone, in any order, are the same numbers
+        free = (6, 0, 5)
+        assert np.array_equal(_scattering(om, theta, kind, free)[1], jac[:, free])
+
+    @pytest.mark.parametrize("hat", sorted(HAT_PRESETS))
+    def test_values_are_the_public_ones(self, hat):
+        # one kernel: with or without the Jacobian, bit for bit
+        p = HAT_PRESETS[hat]
+        freqs = merged_grid(p)
+        for kind, public in ((TraceKind.S21, s21), (TraceKind.S11, s11)):
+            values, _ = _scattering(TWO_PI * freqs, list(_theta(p)), kind, _ALL)
+            assert np.array_equal(values, public(p, freqs).values), kind

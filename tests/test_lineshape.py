@@ -769,6 +769,32 @@ class TestAnalyticJacobian:
                     ), (trace.kind, n)
 
 
+    @pytest.mark.parametrize("hat", sorted(HAT_PRESETS))
+    @pytest.mark.parametrize("kind", [TraceKind.S21, TraceKind.S11])
+    def test_complex_rows_reorder_the_stacked_parts(self, hat, kind):
+        # rows interleave (Re, Im) per sample: the same numbers as all real
+        # parts followed by all imaginary parts, so the fit's sums agree
+        p = HAT_PRESETS[hat]
+        om = _HAT_OM[hat]
+        clean = (s21 if kind is TraceKind.S21 else s11)(p, om / TWO_PI)
+        data = add_noise(clean, 0.01 * float(np.max(np.abs(clean.values))), 7).values
+        theta, free = list(_theta(p.replace(g=1.05 * p.g))), tuple(range(7))
+        r, jac = _residuals(om, theta, kind, data, free)
+        model, complex_jac = lineshape._scattering(om, theta, kind, free)
+        diff = model - data
+        assert np.array_equal(r[0::2], diff.real) and np.array_equal(r[1::2], diff.imag)
+        assert np.array_equal(jac[0::2], complex_jac.real)
+        assert np.array_equal(jac[1::2], complex_jac.imag)
+        r_old = np.concatenate([diff.real, diff.imag])
+        jac_old = np.concatenate([complex_jac.real, complex_jac.imag])
+        norms = np.linalg.norm(jac_old, axis=0)
+        assert r @ r == pytest.approx(r_old @ r_old, rel=1e-13)
+        bound = 1e-13 * np.outer(norms, norms)  # Cauchy-Schwarz scale of each entry
+        assert np.all(np.abs(jac.T @ jac - jac_old.T @ jac_old) <= bound)
+        bound = 1e-13 * norms * np.linalg.norm(r_old)
+        assert np.all(np.abs(jac.T @ r - jac_old.T @ r_old) <= bound)
+
+
 # -- auto_initial_guess against the scalar loop it replaced ------------------
 
 
@@ -814,6 +840,41 @@ def _auto_initial_guess_loop(trace, template):
     return _undressed(template, TWO_PI * by_width[-1][0], TWO_PI * by_width[0][0])
 
 
+def _auto_initial_guess_spans(trace, template):
+    """Reference: the Python-float walk that tested each candidate's
+    frequency against every claimed half-max span."""
+    f = trace.freqs
+    p = trace.power()
+    med = float(np.median(p))
+    threshold = 3.0 * med
+    inner = p[1:-1]
+    idx = np.flatnonzero((inner >= p[:-2]) & (inner > p[2:]) & (inner > threshold)) + 1
+    if not idx.size:
+        raise InvalidInputError("no feature rises above 3x the median power")
+    fl, pl = f.tolist(), p.tolist()
+    last = len(pl) - 1
+    peaks = []
+    for i in idx[np.argsort(-p[idx], kind="stable")].tolist():
+        if any(plo <= fl[i] <= phi for _, _, (plo, phi) in peaks):
+            continue
+        level = med + 0.5 * (pl[i] - med)
+        l = i
+        while l > 0 and pl[l] > level:
+            l -= 1
+        r = i
+        while r < last and pl[r] > level:
+            r += 1
+        weight = np.clip(p[l : r + 1] - med, 0.0, None)
+        center = float(np.sum(f[l : r + 1] * weight) / np.sum(weight))
+        peaks.append((center, fl[r] - fl[l], (fl[l], fl[r])))
+    if len(peaks) < 2:
+        raise InvalidInputError(
+            "fewer than two resolvable features above 3x the median power"
+        )
+    by_width = sorted(peaks, key=lambda t: t[1])
+    return _undressed(template, TWO_PI * by_width[-1][0], TWO_PI * by_width[0][0])
+
+
 def _guess_or_error(guess, trace, template):
     try:
         g = guess(trace, template)
@@ -841,6 +902,22 @@ class TestAutoInitialGuessMatchesLoop:
                 want = _guess_or_error(_auto_initial_guess_loop, trace, template)
                 got = _guess_or_error(auto_initial_guess, trace, template)
                 assert got == want, (hat, seed, trace.kind)
+
+
+    @pytest.mark.parametrize("hat", sorted(HAT_PRESETS))
+    def test_spans_claimed_by_index_match_by_frequency(self, hat):
+        # noisier draws leave more candidate maxima for the suppression
+        truth = HAT_PRESETS[hat]
+        clean = s21(truth, merged_grid(truth))
+        peak = float(np.max(np.abs(clean.values)))
+        template = truth.replace(g=1.05 * truth.g)
+        for snr in (100.0, 20.0, 5.0):
+            for seed in range(20):
+                noisy = add_noise(clean, peak / snr, seed)
+                for trace in (noisy, normalized_power_trace(noisy)):
+                    want = _guess_or_error(_auto_initial_guess_spans, trace, template)
+                    got = _guess_or_error(auto_initial_guess, trace, template)
+                    assert got == want, (hat, snr, seed, trace.kind)
 
 
 # -- the fitter's linear algebra against the LAPACK formulas it replaced -----
@@ -921,11 +998,28 @@ class TestFitterLinearAlgebra:
     def test_step_matches_the_damped_normal_equations(self, case, log_lam):
         jac, r, _ = case
         assume(_smallest_scaled_eigenvalue(jac) >= 1e-4)
-        _, unit, w, v = lineshape._scaled(jac)
+        _, safe, w, v = lineshape._scaled(jac)
+        unit = jac / np.linalg.norm(jac, axis=0)
         gram, gradient, lam = unit.T @ unit, unit.T @ r, 10.0**log_lam
         want = np.linalg.solve(gram + lam * np.eye(len(w)), -gradient)
-        got = lineshape._step(w, v, gradient, lam)
+        # the fit's gradient of the unit columns, taken without forming them
+        got = lineshape._step(w, v, (jac.T @ r) / safe, lam)
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(synthetic_jacobians(), st.booleans(), st.data())
+    def test_scaling_from_the_gram_matrix(self, case, null, data):
+        # norms and eigenvalues as from the unit columns themselves; a null
+        # column keeps a norm of 0 and counts as 1 in ``safe``
+        jac, _, _ = case
+        if null:
+            jac[:, data.draw(st.integers(0, jac.shape[1] - 1))] = 0.0
+        norms, safe, w, _ = lineshape._scaled(jac)
+        want = np.linalg.norm(jac, axis=0)
+        np.testing.assert_allclose(norms, want, rtol=1e-12, atol=0.0)
+        assert np.array_equal(safe, np.where(norms == 0.0, 1.0, norms))
+        unit = jac / np.where(want == 0.0, 1.0, want)
+        np.testing.assert_allclose(w, np.linalg.eigvalsh(unit.T @ unit), rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("gap, refused", [(0.5e-6, True), (2e-6, False)])
     def test_pair_rule_is_the_eigenvalue_rule(self, gap, refused):
