@@ -27,7 +27,6 @@ from .coupled_modes import (
     _response,
     dressed_modes,
     effective_rates,
-    resolved_sideband_ratio,
 )
 from .errors import InvalidInputError, SingularResponseError, ValidityWarning, _require
 from .units import hz_to_angular
@@ -45,21 +44,11 @@ class MechanicalMode:
         _require("gamma_m", self.gamma_m, "non-negative", "rad/s")
 
 
-def electromechanical_damping(coupling, kappa_lc_tot, *, omega_m=None):
-    """gamma_e = 4 G^2 / kappa_lc_tot, the pump-induced mechanical damping.
-
-    Valid in the resolved-sideband regime; pass ``omega_m`` to have the
-    sideband ratio checked (a ratio >= 1 draws a ValidityWarning).
-    """
+def electromechanical_damping(coupling, kappa_lc_tot):
+    """gamma_e = 4 G^2 / kappa_lc_tot, the pump-induced mechanical damping,
+    valid in the resolved-sideband regime."""
     _require("coupling", coupling, "non-negative")
     _require("kappa_lc_tot", kappa_lc_tot, "positive")
-    if omega_m is not None and resolved_sideband_ratio(kappa_lc_tot, omega_m) >= 1.0:
-        warnings.warn(
-            "kappa_lc_tot/(4 omega_m) >= 1: far outside the resolved-sideband "
-            "regime, gamma_e = 4G^2/kappa_lc_tot is unreliable",
-            ValidityWarning,
-            stacklevel=2,
-        )
     # a product, not coupling**2, which raises OverflowError on a Python float
     return 4.0 * coupling * coupling / kappa_lc_tot
 

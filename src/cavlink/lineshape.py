@@ -296,19 +296,103 @@ def _step(w, v, gradient, lam):
     return -v @ ((v.T @ gradient) / (w + lam))
 
 
+def _least_squares(evaluate, x, lo, hi, names, max_iterations, tolerance):
+    """Damped least squares (Levenberg-Marquardt, after Moré 1978) from ``x``
+    in the box [``lo``, ``hi``]; ``evaluate(x)`` gives the real residual and
+    its Jacobian, whose columns ``names`` label.
+
+    The engine owns the algorithm: it counts evaluations, refuses a start
+    whose residual is not finite or whose J is degenerate
+    (:func:`_check_degenerate`), damps, bounds and ends the steps and gives
+    sigma. Steps solve (J^T J + lam diag(J^T J)) d = -J^T r, the damping
+    grows when a step fails to reduce the cost and shrinks when it succeeds,
+    and steps are clipped to the box. A parameter on its bound whose descent
+    points out of the box is held there, and the others solve their own
+    damped system (an active set, Lawson & Hanson 1974). Each trial costs
+    one evaluation; an accepted trial's J is the next step's. The fit stops
+    when the relative cost reduction or step drops below ``tolerance``.
+    Returns the end point, each parameter's 1-sigma in the units of ``x``
+    and the run's ``FitResult`` fields.
+    """
+    r_cur, jac = evaluate(x)
+    if not np.all(np.isfinite(r_cur)):
+        raise InvalidInputError("initial guess is outside the model's domain")
+    cost, evaluations, m = float(r_cur @ r_cur), 1, r_cur.size
+    trajectory = [cost]
+    norms, safe, w, v = _scaled(jac)
+    _check_degenerate(norms, w, v, names)
+
+    lam = 1e-3
+    termination = "max_iterations"
+    floor = 1e-30 * m
+    edges = set(lo.tolist() + hi.tolist())  # a quicker test for x on a bound than x == lo
+    for iterations in range(1, max_iterations + 1):
+        if cost <= floor:
+            termination = "cost_floor"
+            break
+        gradient = (jac.T @ r_cur) / safe  # of the unit columns
+        wk, vk = w, v
+        if not edges.isdisjoint(x.tolist()):  # hold each on a bound whose descent leaves it
+            held = x == np.where(gradient > 0.0, lo, hi)
+            if held.any():  # the eigenpairs of the others' block, 0 in a held row
+                wk, vk = np.linalg.eigh(((v * w) @ v.T)[np.ix_(~held, ~held)])
+                vk = np.eye(len(x))[:, ~held] @ vk
+        while lam < 1e14:
+            step = _step(wk, vk, gradient, lam)  # lam diag(J^T J) is lam I on unit columns
+            x_new = np.minimum(np.maximum(x + step / safe, lo), hi)
+            # Clipping keeps a trial inside the box, which lies in the model's
+            # domain; a non-finite trial or residual costs inf or nan: never taken.
+            cost_new = np.inf
+            if np.all(np.isfinite(x_new)):
+                r_new, jac_new = evaluate(x_new)
+                cost_new, evaluations = float(r_new @ r_new), evaluations + 1
+            if cost_new < cost:
+                break
+            lam *= 10.0
+        else:
+            # Damping saturated: no step in any descent direction improves
+            # the cost, i.e. a (possibly bound-constrained) minimum.
+            termination = "damping_saturated"
+            break
+        rel_drop = (cost - cost_new) / max(cost, 1e-300)
+        rel_step = float(np.max(np.abs(x_new - x) / np.maximum(np.abs(x), 1.0)))
+        # The accepted trial's Jacobian is the next step's, scaled once; the
+        # last one also gives the covariance.
+        x, cost, r_cur, jac = x_new, cost_new, r_new, jac_new
+        _, safe, w, v = _scaled(jac)
+        trajectory.append(cost)
+        lam = max(lam / 3.0, 1e-12)
+        if rel_drop <= tolerance:
+            termination = "relative_drop"
+            break
+        if rel_step <= tolerance:
+            termination = "relative_step"
+            break
+
+    # diag(pinv(J^T J)) from the same eigenpairs; like pinv, drop the
+    # eigenvalues at or below 1e-15 of the largest. A null column gets 0.
+    kept = w > 1e-15 * w[-1]
+    variance = cost / max(m - len(names), 1) * (v[:, kept] ** 2 @ (1.0 / w[kept]))
+    return x, np.sqrt(variance) / safe, dict(
+        residual_norm=float(np.sqrt(cost / m)),
+        converged=termination != "max_iterations",
+        iterations=iterations,
+        cost_trajectory=tuple(trajectory),
+        model_evaluations=evaluations,
+        termination=termination,
+    )
+
+
 def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
     """Fit the coupled-mode model to one trace.
 
-    Damped least squares: steps solve (J^T J + lam diag(J^T J)) d = -J^T r,
-    the damping grows when a step fails to reduce the cost and shrinks when
-    it succeeds, and steps are clipped to the parameter bounds. J is the
-    closed-form Jacobian of the model kernel (for power traces, of the
-    model times its least-squares scale to the data). Each trial costs one
-    kernel call, which gives its cost and its J together; an accepted
-    trial's J is the next step's. The fit stops when the relative cost
-    reduction or the relative step drops below ``config.tolerance``;
-    hitting ``max_iterations`` first yields ``converged=False`` rather
-    than an exception.
+    This is the model side: it checks the trace's size, scales a power trace
+    to unit maximum, maps the free parameters onto the model kernel's theta
+    and builds the ``FitResult`` (1-sigma in Hz); :func:`_least_squares`
+    owns the algorithm. J is the closed-form Jacobian of the model kernel
+    (for power traces, of the model times its least-squares scale to the
+    data). Hitting ``max_iterations`` yields ``converged=False`` rather than
+    an exception.
 
     Raises
     ------
@@ -333,84 +417,22 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
     om = TWO_PI * trace.freqs
     data = trace.values
     if trace.kind is TraceKind.POWER:
+        if not data.any():
+            raise InvalidInputError("trace power is identically zero; cannot normalize")
         data = data / data.max()
-    evaluations = 0
 
     def evaluate(xv):
-        # Clipping keeps a trial inside the box, which lies in the model's
-        # domain; a non-finite trial or residual costs inf or nan: never taken.
-        nonlocal evaluations
-        if not np.all(np.isfinite(xv)):
-            return np.inf, None, None
-        evaluations += 1
         for index, value in zip(free, xv):
             theta[index] = float(value)
-        r, jac = _residuals(om, theta, trace.kind, data, free)
-        return float(r @ r), r, jac
+        return _residuals(om, theta, trace.kind, data, free)
 
-    cost, r_cur, jac = evaluate(x)
-    if not np.all(np.isfinite(r_cur)):
-        raise InvalidInputError("initial guess is outside the model's domain")
-    m = r_cur.size
-    trajectory = [cost]
-    norms, safe, w, v = _scaled(jac)
-    _check_degenerate(norms, w, v, names)
-
-    lam = 1e-3
-    termination = "max_iterations"
-    floor = 1e-30 * m
-    for iterations in range(1, config.max_iterations + 1):
-        if cost <= floor:
-            termination = "cost_floor"
-            break
-        gradient = (jac.T @ r_cur) / safe  # of the unit columns
-        while lam < 1e14:
-            step = _step(w, v, gradient, lam)  # lam diag(J^T J) is lam I on unit columns
-            x_new = np.minimum(np.maximum(x + step / safe, lo), hi)
-            cost_new, r_new, jac_new = evaluate(x_new)
-            if cost_new < cost:
-                break
-            lam *= 10.0
-        else:
-            # Damping saturated: no step in any descent direction improves
-            # the cost, i.e. a (possibly bound-constrained) minimum.
-            termination = "damping_saturated"
-            break
-        rel_drop = (cost - cost_new) / max(cost, 1e-300)
-        rel_step = float(np.max(np.abs(x_new - x) / np.maximum(np.abs(x), 1.0)))
-        # The accepted trial's Jacobian is the next step's, scaled once; the
-        # last one also gives the covariance.
-        x, cost, r_cur, jac = x_new, cost_new, r_new, jac_new
-        _, safe, w, v = _scaled(jac)
-        trajectory.append(cost)
-        lam = max(lam / 3.0, 1e-12)
-        if rel_drop <= config.tolerance:
-            termination = "relative_drop"
-            break
-        if rel_step <= config.tolerance:
-            termination = "relative_step"
-            break
-
-    # diag(pinv(J^T J)) from the same eigenpairs; like pinv, drop the
-    # eigenvalues at or below 1e-15 of the largest. A null column gets 0.
-    kept = w > 1e-15 * w[-1]
-    variance = cost / max(m - len(names), 1) * (v[:, kept] ** 2 @ (1.0 / w[kept]))
-    sigmas = np.sqrt(variance) / safe
-    uncertainties = {n: angular_to_hz(float(s)) for n, s in zip(names, sigmas)}
-
+    x, sigma, run = _least_squares(evaluate, x, lo, hi, names, config.max_iterations,
+                                   config.tolerance)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
         fitted = base.replace(**dict(zip(names, x)))
-    return FitResult(
-        params=fitted,
-        residual_norm=float(np.sqrt(cost / m)),
-        uncertainties=uncertainties,
-        converged=termination != "max_iterations",
-        iterations=iterations,
-        cost_trajectory=tuple(trajectory),
-        model_evaluations=evaluations,
-        termination=termination,
-    )
+    uncertainties = {n: angular_to_hz(float(s)) for n, s in zip(names, sigma)}
+    return FitResult(params=fitted, uncertainties=uncertainties, **run)
 
 
 def auto_initial_guess(trace: ComplexTrace, template: SystemParams) -> SystemParams:

@@ -256,6 +256,19 @@ class TestFit:
         report = json.loads((tmp_path / "fit.json").read_text())
         assert report["converged"] is False
 
+    def test_all_zero_power_trace_refused(self, tmp_path, capsys):
+        # exit 2 naming the cause, not a start "outside the model's domain"
+        grid = merged_grid(reference_params())
+        path = tmp_path / "zero.csv"
+        write_trace(path, coupled_modes.ComplexTrace(grid, np.zeros(grid.size), "power_normalized"))
+        cfg = write_ini(tmp_path, fit_sections(f"trace = {path}\n"))
+        out = tmp_path / "fit.json"
+        assert run(["fit", "--config", cfg, "--out", str(out), "--preset", "hat270"]) == 2
+        err = capsys.readouterr().err
+        assert "trace power is identically zero" in err
+        assert "domain" not in err
+        assert not out.exists()
+
     def test_malformed_trace_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("freq_hz,re,im\n1,0,0\n2,zz,0\n")

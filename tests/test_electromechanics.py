@@ -105,12 +105,6 @@ class TestRates:
             gamma_e, rel=1e-12
         )
 
-    def test_damping_warns_outside_resolved_sideband(self):
-        kappa, omega_m = TWO_PI * 2e6, TWO_PI * 0.4e6
-        assert resolved_sideband_ratio(kappa, omega_m) >= 1.0
-        with pytest.warns(ValidityWarning, match="resolved-sideband"):
-            electromechanical_damping(TWO_PI * 20e3, kappa, omega_m=omega_m)
-
     def test_damping_input_checks(self):
         with pytest.raises(InvalidInputError, match="coupling"):
             electromechanical_damping(-1.0, 400.0)
