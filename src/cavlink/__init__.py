@@ -9,7 +9,6 @@ from .coupled_modes import (
     TraceKind,
     dressed_modes,
     effective_rates,
-    hybridized_eigenvalues,
     mode_matrix,
     normalized_power_trace,
     resolved_sideband_ratio,

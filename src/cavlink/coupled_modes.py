@@ -408,19 +408,6 @@ def _bare_detuning(splitting, params):
     return math.copysign(math.sqrt(numerator / (0.25 + spread)), splitting)
 
 
-def hybridized_eigenvalues(params: SystemParams):
-    """Both complex eigenvalues of :func:`mode_matrix`, higher real part first.
-
-    Available even when branch labeling is ambiguous (exact 50/50
-    hybridization), where :func:`dressed_modes` refuses to assign names.
-    """
-    lam_cav, lam_lc, _, _ = _dressed(*_theta(params))
-    upper, lower = complex(lam_cav), complex(lam_lc)
-    if lower.real > upper.real:
-        upper, lower = lower, upper
-    return upper, lower
-
-
 @dataclass(frozen=True)
 class DressedModes:
     """Dressed frequencies and linewidths (rad/s), labeled by eigenvector overlap."""
@@ -452,7 +439,7 @@ def dressed_modes(params: SystemParams) -> DressedModes:
     ------
     BranchAssignmentError
         If both eigenvectors hybridize exactly 50/50 (symmetric crossing);
-        use :func:`hybridized_eigenvalues` if only the eigenvalues matter.
+        ``np.linalg.eigvals(mode_matrix(params))`` still gives the eigenvalues.
     """
     lam_cav, lam_lc, weight, fifty_fifty = _dressed(*_theta(params))
     if fifty_fifty:

@@ -27,6 +27,7 @@ from .coupled_modes import (
     _bare_detuning,
     _scattering,
     _theta,
+    normalized_power_trace,
 )
 from .errors import (
     DegenerateParameterError,
@@ -308,9 +309,10 @@ def _least_squares(evaluate, x, lo, hi, names, max_iterations, tolerance):
     grows when a step fails to reduce the cost and shrinks when it succeeds,
     and steps are clipped to the box. A parameter on its bound whose descent
     points out of the box is held there, and the others solve their own
-    damped system (an active set, Lawson & Hanson 1974). Each trial costs
-    one evaluation; an accepted trial's J is the next step's. The fit stops
-    when the relative cost reduction or step drops below ``tolerance``.
+    damped system (an active set, Lawson & Hanson 1974); when all are held,
+    the fit ends. Each trial costs one evaluation; an accepted trial's J is
+    the next step's. The fit also stops when the relative cost reduction or
+    step drops below ``tolerance``.
     Returns the end point, each parameter's 1-sigma in the units of ``x``
     and the run's ``FitResult`` fields.
     """
@@ -334,6 +336,9 @@ def _least_squares(evaluate, x, lo, hi, names, max_iterations, tolerance):
         wk, vk = w, v
         if not edges.isdisjoint(x.tolist()):  # hold each on a bound whose descent leaves it
             held = x == np.where(gradient > 0.0, lo, hi)
+            if held.all():  # nothing can move, so no trial could lower the cost
+                termination = "damping_saturated"
+                break
             if held.any():  # the eigenpairs of the others' block, 0 in a held row
                 wk, vk = np.linalg.eigh(((v * w) @ v.T)[np.ix_(~held, ~held)])
                 vk = np.eye(len(x))[:, ~held] @ vk
@@ -387,12 +392,12 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
     """Fit the coupled-mode model to one trace.
 
     This is the model side: it checks the trace's size, scales a power trace
-    to unit maximum, maps the free parameters onto the model kernel's theta
-    and builds the ``FitResult`` (1-sigma in Hz); :func:`_least_squares`
-    owns the algorithm. J is the closed-form Jacobian of the model kernel
-    (for power traces, of the model times its least-squares scale to the
-    data). Hitting ``max_iterations`` yields ``converged=False`` rather than
-    an exception.
+    to unit maximum (:func:`normalized_power_trace`), maps the free
+    parameters onto the model kernel's theta and builds the ``FitResult``
+    (1-sigma in Hz); :func:`_least_squares` owns the algorithm. J is the
+    closed-form Jacobian of the model kernel (for power traces, of the model
+    times its least-squares scale to the data). Hitting ``max_iterations``
+    yields ``converged=False`` rather than an exception.
 
     Raises
     ------
@@ -417,9 +422,7 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
     om = TWO_PI * trace.freqs
     data = trace.values
     if trace.kind is TraceKind.POWER:
-        if not data.any():
-            raise InvalidInputError("trace power is identically zero; cannot normalize")
-        data = data / data.max()
+        data = normalized_power_trace(trace).values
 
     def evaluate(xv):
         for index, value in zip(free, xv):
@@ -428,11 +431,9 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
 
     x, sigma, run = _least_squares(evaluate, x, lo, hi, names, config.max_iterations,
                                    config.tolerance)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ValidityWarning)
-        fitted = base.replace(**dict(zip(names, x)))
     uncertainties = {n: angular_to_hz(float(s)) for n, s in zip(names, sigma)}
-    return FitResult(params=fitted, uncertainties=uncertainties, **run)
+    return FitResult(params=base.replace(**dict(zip(names, x))),
+                     uncertainties=uncertainties, **run)
 
 
 def auto_initial_guess(trace: ComplexTrace, template: SystemParams) -> SystemParams:
@@ -443,9 +444,11 @@ def auto_initial_guess(trace: ComplexTrace, template: SystemParams) -> SystemPar
     widest feature is taken as the dressed cavity mode, the narrowest as
     the dressed LC mode, and both are undressed with the template's g and
     rates (:func:`_undressed`). Rates are left at the template's values.
+    An S11 trace is read through |1 - S11|^2, which peaks where |S21|^2
+    does: S11 = 1 - kappa_cav_1/D and S21 = sqrt(kappa_cav_1 kappa_cav_2)/D.
     """
     f = trace.freqs
-    p = trace.power()
+    p = np.abs(1.0 - trace.values) ** 2 if trace.kind is TraceKind.S11 else trace.power()
     med = float(np.median(p))
     threshold = 3.0 * med
     inner = p[1:-1]
@@ -565,12 +568,8 @@ def multi_trace_fit(traces, shared, config: FitConfig) -> MultiTraceFit:
         consistent[name] = se <= 2.0 * pooled + 1e-12 * abs(mean)
         unc_hz[name] = angular_to_hz(se)
 
-    first = results[0]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ValidityWarning)
-        combined_params = first.params.replace(**means)
     combined = FitResult(
-        params=combined_params,
+        params=results[0].params.replace(**means),
         residual_norm=float(np.sqrt(np.mean([r.residual_norm**2 for r in results]))),
         uncertainties=unc_hz,
         converged=all(r.converged for r in results),

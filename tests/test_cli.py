@@ -269,6 +269,16 @@ class TestFit:
         assert "domain" not in err
         assert not out.exists()
 
+    def test_start_outside_the_model_domain_refused(self, tmp_path, capsys):
+        # g^2 overflows in the model kernel: exit 2 naming the start, no report
+        trace_path, _ = self.make_trace(tmp_path)
+        cfg = write_ini(tmp_path, "[params]\ng_hz = 1e160\n"
+                        + fit_sections(f"trace = {trace_path}\n"))
+        out = tmp_path / "fit.json"
+        assert run(["fit", "--config", cfg, "--out", str(out), "--preset", "hat270"]) == 2
+        assert "initial guess is outside the model's domain" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_trace_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("freq_hz,re,im\n1,0,0\n2,zz,0\n")

@@ -23,7 +23,6 @@ from cavlink import (
     dressed_modes,
     effective_rates,
     extract_fwhm,
-    hybridized_eigenvalues,
     hz_to_angular,
     lower_sideband_pump,
     mode_matrix,
@@ -35,9 +34,15 @@ from cavlink import (
     s21,
 )
 from cavlink.cli import _TABLES
-from cavlink.coupled_modes import FREQUENCY_FIELDS, PARAM_FIELDS
+from cavlink.coupled_modes import FREQUENCY_FIELDS, PARAM_FIELDS, _dressed, _theta
 
 from conftest import merged_grid, reference_params, random_params
+
+
+def eigenvalues(p):
+    """Both eigenvalues of mode_matrix(p) from the closed-form solve, the
+    higher real part first (the cavity-like one on a tie)."""
+    return sorted((complex(z) for z in _dressed(*_theta(p))[:2]), key=lambda z: -z.real)
 
 
 class TestSystemParams:
@@ -276,7 +281,7 @@ class TestDressedModes:
 
     def test_symmetric_lossless_splitting_is_2g(self):
         p = SystemParams.from_hz(omega_cav=7.0e9, omega_lc=7.0e9, g=57e6)
-        upper, lower = hybridized_eigenvalues(p)
+        upper, lower = eigenvalues(p)
         assert upper.real - lower.real == pytest.approx(2.0 * p.g, rel=1e-12)
         with pytest.raises(BranchAssignmentError):
             dressed_modes(p)
@@ -295,7 +300,7 @@ class TestDressedModes:
         for _ in range(50):
             p = random_params(rng)
             matrix = mode_matrix(p)
-            eigensum = sum(hybridized_eigenvalues(p))
+            eigensum = sum(eigenvalues(p))
             assert eigensum == pytest.approx(np.trace(matrix), rel=1e-12)
 
     def test_delta_eff_definition(self):
@@ -457,7 +462,7 @@ class TestClosedFormMatchesEig:
     @given(mode_params())
     def test_eigenvalues(self, p):
         lam, _ = eig_reference(p)
-        upper, lower = hybridized_eigenvalues(p)
+        upper, lower = eigenvalues(p)
         ref = sorted(lam, key=lambda z: -z.real)
         # equal real parts leave the order to rounding; pair by distance then
         if abs(ref[0].real - ref[1].real) <= 1e-12 * abs(ref[0]):
@@ -486,8 +491,6 @@ class TestClosedFormMatchesEig:
         assert m.cavity_weight == pytest.approx(weights[cav], rel=1e-12)
 
     def test_solver_broadcasts_like_scalar_calls(self, rng):
-        from cavlink.coupled_modes import _dressed, _theta
-
         draws = [random_params(rng) for _ in range(8)]
         draws += [reference_params(g=0.0), reference_params(delta_bare_hz=0.0)]
         *batch, batch_fifty_fifty = _dressed(*np.array([_theta(p) for p in draws]).T)
@@ -507,7 +510,7 @@ class TestClosedFormMatchesEig:
         assert p.g > abs(p.kappa_cav_tot - p.kappa_lc_bare) / 4
         with pytest.raises(BranchAssignmentError):
             dressed_modes(p)
-        upper, lower = hybridized_eigenvalues(p)
+        upper, lower = eigenvalues(p)
         assert upper.imag == pytest.approx(lower.imag, rel=1e-12)
 
     def test_dispersive_pulls_keep_relative_accuracy(self):
@@ -552,7 +555,7 @@ class TestBareDetuning:
 # -- the kernel's Jacobian from one shared denominator -------------------------
 
 from cavlink import HAT_PRESETS  # noqa: E402
-from cavlink.coupled_modes import _root_slope, _scattering, _theta  # noqa: E402
+from cavlink.coupled_modes import _root_slope, _scattering  # noqa: E402
 
 _ALL = tuple(range(7))
 

@@ -16,6 +16,7 @@ from cavlink import (
     PeakAmbiguityError,
     SystemParams,
     TraceKind,
+    ValidityWarning,
     WindowTooNarrowError,
     add_noise,
     auto_initial_guess,
@@ -300,6 +301,24 @@ class TestFitTrace:
             with pytest.raises(InvalidInputError, match="identically zero"):
                 fit_trace(trace, cfg)
 
+    def test_start_outside_the_model_domain_refused(self):
+        # g^2 overflows in the kernel, so the residual at the start is not finite
+        truth = reference_params()
+        trace = s21(truth, merged_grid(truth))
+        with pytest.warns(ValidityWarning, match="ultrastrong"):
+            start = truth.replace(g=TWO_PI * 1e160)
+        with pytest.raises(InvalidInputError, match="initial guess is outside the model's domain"):
+            fit_trace(trace, FitConfig(free_params=("g",), initial_guess=start))
+
+    def test_ultrastrong_result_warns(self):
+        # the fitted parameters warn like any other SystemParams
+        with pytest.warns(ValidityWarning, match="ultrastrong"):
+            truth = reference_params(g=750e6)
+        trace = s21(truth, np.linspace(6.0e9, 8.5e9, 401))
+        with pytest.warns(ValidityWarning, match="ultrastrong"):
+            result = fit_trace(trace, FitConfig(free_params=("g",), initial_guess=truth))
+        assert result.params == truth
+
     def test_too_few_points(self):
         truth = reference_params()
         f0 = truth.omega_cav / TWO_PI
@@ -427,6 +446,8 @@ class TestFitDiagnostics:
         assert result.converged
         assert result.termination == "damping_saturated"
         assert result.params.g == cap
+        # the only free parameter is held: no trial is evaluated
+        assert result.model_evaluations == 1
 
     def test_evaluations_count_kernel_calls(self, monkeypatch):
         from cavlink import lineshape
@@ -661,6 +682,22 @@ class TestMultiTraceFit:
         assert joint.combined.converged
         for result in joint.per_trace:
             for name in FREE:
+                sigma = TWO_PI * result.uncertainties[name]
+                assert abs(getattr(result.params, name) - getattr(hat, name)) < 3 * sigma, name
+
+    def test_joint_fit_of_reflection_traces(self):
+        # an S11 dip has no power peak; the start comes from |1 - S11|^2,
+        # which peaks where |S21|^2 does
+        hats = [HAT_PRESETS[h] for h in ("hat238", "hat270")]
+        grid = np.linspace(6.8e9, 7.6e9, 801)
+        traces = [add_noise(s11(hat, grid), 0.003, seed=s) for s, hat in zip((1, 2), hats)]
+        free = ("omega_cav", "omega_lc", "kappa_lc_bare", "g")
+        cfg = FitConfig(free_params=free, initial_guess=hats[0].replace(g=1.05 * hats[0].g))
+        joint = multi_trace_fit(traces, ("g",), cfg)
+        assert joint.combined.converged
+        assert joint.consistent["g"]
+        for result, hat in zip(joint.per_trace, hats):
+            for name in free:
                 sigma = TWO_PI * result.uncertainties[name]
                 assert abs(getattr(result.params, name) - getattr(hat, name)) < 3 * sigma, name
 
@@ -923,7 +960,8 @@ def _guess_or_error(guess, trace, template):
 class TestAutoInitialGuessMatchesLoop:
     @pytest.mark.parametrize("hat", sorted(HAT_PRESETS))
     def test_bit_identical_on_noisy_hats(self, hat):
-        # S11 traces show dips only: they cover the refusal path. Power
+        # The reference reads power only, so it gets each S11 trace as the
+        # S21-kind trace of 1 - S11, whose power the guess reads. Power
         # rounded to 3 digits has flat tops and tied maxima.
         truth = HAT_PRESETS[hat]
         clean = s21(truth, merged_grid(truth))
@@ -936,7 +974,10 @@ class TestAutoInitialGuessMatchesLoop:
             power = normalized_power_trace(noisy)
             rounded = ComplexTrace(power.freqs, np.round(power.values, 3), TraceKind.POWER)
             for trace in (noisy, power, rounded, reflected):
-                want = _guess_or_error(_auto_initial_guess_loop, trace, template)
+                read = trace
+                if trace.kind is TraceKind.S11:
+                    read = ComplexTrace(trace.freqs, 1.0 - trace.values, TraceKind.S21)
+                want = _guess_or_error(_auto_initial_guess_loop, read, template)
                 got = _guess_or_error(auto_initial_guess, trace, template)
                 assert got == want, (hat, seed, trace.kind)
 
