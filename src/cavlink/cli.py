@@ -258,13 +258,19 @@ def _fit_config_from(fit, guess: SystemParams) -> FitConfig:
         if len(pieces) != 2:
             raise ConfigError(f"fit.{key}: expected 'lo,hi'")
         try:
-            lo, hi = bounds[name] = tuple(hz_to_angular(float(p)) for p in pieces)
+            lo, hi = (float(p) for p in pieces)
         except ValueError:
             raise ConfigError(f"fit.{key}: bounds must be numbers") from None
         if not lo < hi:
             raise ConfigError(f"fit.{key}: must satisfy lo < hi, got {fit[key]}")
         if not _RULES[_PARAM_RULE[name]](lo):
             raise ConfigError(f"fit.{key}: lo must be {_PARAM_RULE[name]}, got {fit[key]}")
+        lo, hi = bounds[name] = hz_to_angular(lo), hz_to_angular(hi)
+        if not _RULES["finite"](lo):
+            raise ConfigError(f"fit.{key}: lo must be at most {_MAX_HZ:.3g} Hz, got {fit[key]}")
+        if not lo <= getattr(guess, name) <= hi:  # in rad/s, as FitConfig tests it
+            start = angular_to_hz(getattr(guess, name))
+            raise ConfigError(f"fit.{key}: must hold the start {start!r} Hz, got {fit[key]}")
     return FitConfig(
         free_params=tuple(fit["free_params"]),
         initial_guess=guess,

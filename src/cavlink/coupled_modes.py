@@ -214,19 +214,22 @@ def _scattering(om, theta, kind, free=(), self_energy=()):
     ``om`` holds angular probe frequencies and ``theta`` the seven parameters
     as plain floats in PARAM_FIELDS order; callers validate both. With
 
-        D(omega) = i(omega_cav - omega) + kappa_cav_tot/2 + g^2 / L(omega),
+        D(omega) = C(omega) + g^2 / L(omega),   C(omega) = i(omega_cav - omega) + kappa_cav_tot/2,
         L(omega) = i(omega_lc - omega) + kappa_lc_bare/2 + sum(self_energy),
 
-    S21 = sqrt(kappa_cav_1 kappa_cav_2) / D and S11 = 1 - kappa_cav_1 / D.
-    The ``self_energy`` arrays, which do not depend on theta, are added to L
-    in order. Where L vanishes (lossless LC driven exactly on resonance)
-    D -> inf, so S21 -> 0 and S11 -> 1.
+    S21 = sqrt(kappa_cav_1 kappa_cav_2) q and S11 = 1 - kappa_cav_1 q with
+    q = 1/D = L / (L C + g^2) (1/C when g = 0): one reciprocal per call, which
+    the derivatives share. The ``self_energy`` arrays, which do not depend on
+    theta, are added to L in order. Where L vanishes (lossless LC driven
+    exactly on resonance) q = 0 exactly, so S21 = 0 and S11 = 1. The domain
+    is finite: once g, or both |omega - omega_cav| and |omega - omega_lc|,
+    exceed about 1.3e154 rad/s, L C + g^2 overflows and q reads 0, its true
+    size being below 1e-154 s; once a distance times a half-rate overflows
+    too (from 3.5e299 rad/s for the hats), the values are NaN.
 
     ``free`` lists indices into PARAM_FIELDS. When it is non-empty the kernel
     returns ``(values, jac)`` with ``jac[:, k] = dS/dtheta[free[k]]`` (the
-    transpose of a C-contiguous array), from q = 1/D = L / (L C + g^2) and
-    u = g q / L = g / (L C + g^2), which share one reciprocal; C = D - g^2/L
-    is the bare cavity term, and q = 1/C when g = 0:
+    transpose of a C-contiguous array), from q and u = g q / L = g / (L C + g^2):
 
         dq/domega_cav = -i q^2,   dq/dkappa_cav_{1,2,loss} = -q^2 / 2,
         dq/domega_lc  = +i u^2,   dq/dkappa_lc_bare = u^2 / 2,   dq/dg = -2 q u,
@@ -244,37 +247,27 @@ def _scattering(om, theta, kind, free=(), self_energy=()):
     for term in self_energy:
         lc_inverse = lc_inverse + term
     cavity = 1j * (omega_cav - om) + 0.5 * (k1 + k2 + k_loss)
-    if g == 0.0:
-        live = np.ones(om.shape, dtype=bool)
-        d = cavity
-    else:
-        live = lc_inverse != 0.0  # False where the LC shorts the cavity
-        d = cavity + np.divide(g * g, lc_inverse, out=np.zeros_like(cavity), where=live)
-    if np.any((d == 0.0) & live):
+    bare = g == 0.0  # then D = C: q = 1/C and u = 0
+    den = cavity if bare else lc_inverse * cavity + g * g
+    if np.any(den == 0.0):
         raise SingularResponseError(
             "lossless coupled system driven exactly on a normal mode"
         )
+    inv = 1.0 / den  # 1/g^2 where L vanishes: q = 0
+    q, u = (inv, 0.0) if bare else (lc_inverse * inv, g * inv)
     if kind is TraceKind.S21:
-        amp = np.sqrt(k1 * k2)
-        values = np.divide(amp, d, out=np.zeros_like(d), where=live)
+        prefactor = np.sqrt(k1 * k2)
+        values = prefactor * q
     else:
-        values = 1.0 - np.divide(k1, d, out=np.zeros_like(d), where=live)
+        prefactor = -k1
+        values = 1.0 - k1 * q
     if not free:
         return values
 
-    if g == 0.0:
-        q, u = 1.0 / d, 0.0
-    else:
-        inv = 1.0 / (lc_inverse * cavity + g * g)  # 1/g^2 where L vanishes: q = 0
-        q, u = lc_inverse * inv, g * inv
     # S = prefactor * q (+ 1 for S11), so dS/dtheta = prefactor * dq/dtheta
     # plus the prefactor's own derivative times q.
-    if kind is TraceKind.S21:
-        prefactor = amp
-        own = {2: _root_slope(k1, k2), 3: _root_slope(k2, k1)}
-    else:
-        prefactor = -k1
-        own = {2: -1.0}
+    own = ({2: -1.0} if kind is TraceKind.S11
+           else {2: _root_slope(k1, k2), 3: _root_slope(k2, k1)})
     # dq/dtheta = c a b in PARAM_FIELDS order; only the free rows are built
     slopes = ((-1j, q, q), (1j, u, u), (-0.5, q, q), (-0.5, q, q), (-0.5, q, q),
               (0.5, u, u), (-2.0, q, u))

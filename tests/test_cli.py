@@ -270,13 +270,26 @@ class TestFit:
         assert not out.exists()
 
     def test_start_outside_the_model_domain_refused(self, tmp_path, capsys):
-        # g^2 overflows in the model kernel: exit 2 naming the start, no report
+        # frequencies above 2.86e307 Hz overflow in rad/s: exit 2 naming the
+        # start, no report
+        far = tmp_path / "far.csv"
+        write_trace(far, coupled_modes.ComplexTrace(np.linspace(2.9e307, 3.0e307, 11),
+                                                    np.ones(11)))
+        cfg = write_ini(tmp_path, f"[fit]\nfree_params = g\ntrace = {far}\n")
+        out = tmp_path / "fit.json"
+        assert run(["fit", "--config", cfg, "--out", str(out), "--preset", "hat270"]) == 2
+        assert "initial guess is outside the model's domain" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_coupling_whose_square_overflows_refused(self, tmp_path, capsys):
+        # g^2 overflows, so the model reads S21 = 0 and no free parameter
+        # moves it: exit 2, no report
         trace_path, _ = self.make_trace(tmp_path)
         cfg = write_ini(tmp_path, "[params]\ng_hz = 1e160\n"
                         + fit_sections(f"trace = {trace_path}\n"))
         out = tmp_path / "fit.json"
         assert run(["fit", "--config", cfg, "--out", str(out), "--preset", "hat270"]) == 2
-        assert "initial guess is outside the model's domain" in capsys.readouterr().err
+        assert "has no effect on this trace" in capsys.readouterr().err
         assert not out.exists()
 
     def test_malformed_trace_exit_code(self, tmp_path, capsys):
@@ -403,7 +416,14 @@ class TestFit:
          "fit.bound_omega_cav_hz: lo must be positive, got 0, 8e9"),
         ("bound_g_hz = 1e8\n", "fit.bound_g_hz: expected 'lo,hi'"),
         ("bound_g_hz = low, high\n", "fit.bound_g_hz: bounds must be numbers"),
-    ], ids=["unordered", "negative_rate", "zero_frequency", "one_number", "not_numbers"])
+        # hat270's g starts at 57 MHz, outside this box
+        ("bound_g_hz = 1e300, 2e300\n",
+         "fit.bound_g_hz: must hold the start 57000000.0 Hz, got 1e300, 2e300"),
+        # below hi in Hz, but lo overflows in rad/s
+        ("bound_g_hz = 1e308, inf\n",
+         "fit.bound_g_hz: lo must be at most 2.86e+307 Hz, got 1e308, inf"),
+    ], ids=["unordered", "negative_rate", "zero_frequency", "one_number", "not_numbers",
+            "start_outside", "lo_overflows"])
     def test_bad_bounds_named_in_errors(self, tmp_path, capsys, lines, message):
         trace_path, _ = self.make_trace(tmp_path)
         cfg = write_ini(tmp_path, fit_sections(f"trace = {trace_path}\n{lines}"))
