@@ -32,7 +32,7 @@ from .errors import (
     _RULES,
     _require,
 )
-from .units import angular_to_hz, hz_to_angular
+from .units import TWO_PI, angular_to_hz, hz_to_angular
 
 FREQUENCY_FIELDS = ("omega_cav", "omega_lc")
 RATE_FIELDS = ("kappa_cav_1", "kappa_cav_2", "kappa_cav_loss", "kappa_lc_bare", "g")
@@ -249,12 +249,14 @@ def _scattering(om, theta, kind, free=(), self_energy=()):
     cavity = 1j * (omega_cav - om) + 0.5 * (k1 + k2 + k_loss)
     bare = g == 0.0  # then D = C: q = 1/C and u = 0
     den = cavity if bare else lc_inverse * cavity + g * g
-    if np.any(den == 0.0):
+    if (den == 0.0).any():
         raise SingularResponseError(
             "lossless coupled system driven exactly on a normal mode"
         )
     inv = 1.0 / den  # 1/g^2 where L vanishes: q = 0
+    del cavity, den  # each array freed once spent: a long grid holds fewer at once
     q, u = (inv, 0.0) if bare else (lc_inverse * inv, g * inv)
+    del lc_inverse, inv
     if kind is TraceKind.S21:
         prefactor = np.sqrt(k1 * k2)
         values = prefactor * q
@@ -321,9 +323,21 @@ def s11(params: SystemParams, freqs) -> ComplexTrace:
 def _response(params, freqs, kind, self_energy=()) -> ComplexTrace:
     """The kernel's ``kind`` trace of ``params`` on a Hz grid, with the
     rad/s ``self_energy`` terms added to the LC's inverse susceptibility."""
-    om = hz_to_angular(np.asarray(freqs, dtype=float))
-    vals = _scattering(om, _theta(params), kind, self_energy=self_energy)
+    # an array even for a scalar, which ComplexTrace then refuses
+    f = np.atleast_1d(np.asarray(freqs, dtype=float))
+    if f.size:
+        _check_axis(float(f.min()), float(f.max()))
+    vals = _scattering(hz_to_angular(f), _theta(params), kind, self_energy=self_energy)
     return ComplexTrace(freqs, vals, kind)
+
+
+def _check_axis(lowest, highest):
+    """Refuse a Hz axis from ``lowest`` to ``highest`` (Python floats) whose
+    rad/s values overflow: above about 2.86e307 Hz in magnitude."""
+    largest = max(-lowest, highest)
+    if TWO_PI * largest == math.inf:
+        raise InvalidInputError(f"frequency axis reaches {largest!r} Hz in magnitude; "
+                                "above 2.86e307 Hz it overflows in rad/s")
 
 
 def mode_matrix(params: SystemParams) -> np.ndarray:

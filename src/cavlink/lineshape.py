@@ -25,6 +25,7 @@ from .coupled_modes import (
     TraceKind,
     _PARAM_RULE,
     _bare_detuning,
+    _check_axis,
     _scattering,
     _theta,
     normalized_power_trace,
@@ -269,7 +270,7 @@ def _scaled(jac):
     gram = jac.T @ jac
     norms = np.sqrt(gram.diagonal())
     safe = np.where(norms == 0.0, 1.0, norms)
-    return norms, safe, *np.linalg.eigh(gram / np.outer(safe, safe))
+    return norms, safe, *np.linalg.eigh(gram / (safe[:, None] * safe))
 
 
 def _check_degenerate(norms, w, v, names):
@@ -277,7 +278,7 @@ def _check_degenerate(norms, w, v, names):
     of :func:`_scaled` has an eigenvalue below 1e-6 (for two columns, |cos| >
     1 - 1e-6); the error names the parameters whose component in its
     eigenvector is at least 0.1 in magnitude."""
-    scale = float(np.max(norms))
+    scale = float(norms.max())
     for j, n in enumerate(norms):
         if n <= 1e-14 * max(scale, 1e-300):
             raise DegenerateParameterError(
@@ -317,7 +318,7 @@ def _least_squares(evaluate, x, lo, hi, names, max_iterations, tolerance):
     and the run's ``FitResult`` fields.
     """
     r_cur, jac = evaluate(x)
-    if not np.all(np.isfinite(r_cur)):
+    if not np.isfinite(r_cur).all():
         raise InvalidInputError("initial guess is outside the model's domain")
     cost, evaluations, m = float(r_cur @ r_cur), 1, r_cur.size
     trajectory = [cost]
@@ -348,7 +349,7 @@ def _least_squares(evaluate, x, lo, hi, names, max_iterations, tolerance):
             # Clipping keeps a trial inside the box, which lies in the model's
             # domain; a non-finite trial or residual costs inf or nan: never taken.
             cost_new = np.inf
-            if np.all(np.isfinite(x_new)):
+            if np.isfinite(x_new).all():
                 r_new, jac_new = evaluate(x_new)
                 cost_new, evaluations = float(r_new @ r_new), evaluations + 1
             if cost_new < cost:
@@ -360,7 +361,7 @@ def _least_squares(evaluate, x, lo, hi, names, max_iterations, tolerance):
             termination = "damping_saturated"
             break
         rel_drop = (cost - cost_new) / max(cost, 1e-300)
-        rel_step = float(np.max(np.abs(x_new - x) / np.maximum(np.abs(x), 1.0)))
+        rel_step = float((np.abs(x_new - x) / np.maximum(np.abs(x), 1.0)).max())
         # The accepted trial's Jacobian is the next step's, scaled once; the
         # last one also gives the covariance.
         x, cost, r_cur, jac = x_new, cost_new, r_new, jac_new
@@ -413,6 +414,7 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
             f"{_MIN_POINTS_PER_PARAM} per free parameter ({len(names)} free)"
         )
 
+    _check_axis(float(trace.freqs[0]), float(trace.freqs[-1]))  # the axis rises
     base = config.initial_guess
     lo, hi = np.array([config.bounds[n] for n in names]).T
     x = np.array([getattr(base, n) for n in names], dtype=float)
@@ -440,29 +442,31 @@ def auto_initial_guess(trace: ComplexTrace, template: SystemParams) -> SystemPar
     """Guess omega_cav and omega_lc from the trace's two dominant features.
 
     Heuristic: local power maxima above 3x the median power are collected
-    (suppressing secondary maxima inside an already-claimed feature); the
-    widest feature is taken as the dressed cavity mode, the narrowest as
-    the dressed LC mode, and both are undressed with the template's g and
-    rates (:func:`_undressed`). Rates are left at the template's values.
-    An S11 trace is read through |1 - S11|^2, which peaks where |S21|^2
-    does: S11 = 1 - kappa_cav_1/D and S21 = sqrt(kappa_cav_1 kappa_cav_2)/D.
+    (suppressing secondary maxima inside an already-claimed feature). The
+    widest feature is the dressed cavity mode, the narrowest the dressed LC
+    mode; only these two get a centroid, power-weighted over their half-max
+    span, and both are undressed with the template's g and rates
+    (:func:`_undressed`), which are left as they are. An S11 trace is read
+    through |1 - S11|^2, which peaks where |S21|^2 does: S11 = 1 - kappa_cav_1/D
+    and S21 = sqrt(kappa_cav_1 kappa_cav_2)/D.
     """
     f = trace.freqs
     p = np.abs(1.0 - trace.values) ** 2 if trace.kind is TraceKind.S11 else trace.power()
-    med = float(np.median(p))
-    threshold = 3.0 * med
+    half = p.size // 2  # np.median from one partition: (a + b)/2 for an even size
+    below, above = np.partition(p, (half - 1, half))[half - 1 : half + 1]
+    med = float(above if p.size % 2 else 0.5 * (below + above))
     inner = p[1:-1]
-    idx = np.flatnonzero((inner >= p[:-2]) & (inner > p[2:]) & (inner > threshold)) + 1
+    idx = np.flatnonzero((inner >= p[:-2]) & (inner > p[2:]) & (inner > 3.0 * med)) + 1
     if not idx.size:
         raise InvalidInputError("no feature rises above 3x the median power")
 
     # The span walks run over Python floats: indexing numpy scalars one at
     # a time costs several times more. Non-maximum suppression marks each
     # claimed half-max span by index, as good as by frequency: f rises.
-    fl, pl = f.tolist(), p.tolist()
+    pl = p.tolist()
     last = len(pl) - 1
     claimed = bytearray(len(pl))
-    peaks = []  # (freq, width)
+    spans = []  # (width, span)
     for i in idx[np.argsort(-p[idx], kind="stable")].tolist():
         if claimed[i]:
             continue
@@ -474,17 +478,16 @@ def auto_initial_guess(trace: ComplexTrace, template: SystemParams) -> SystemPar
         while r < last and pl[r] > level:
             r += 1
         claimed[l : r + 1] = b"\x01" * (r + 1 - l)
-        # Power-weighted centroid over the half-max span; the raw argmax
-        # wanders by a good fraction of the linewidth on a noisy flat top.
-        weight = np.clip(p[l : r + 1] - med, 0.0, None)
-        center = float(np.sum(f[l : r + 1] * weight) / np.sum(weight))
-        peaks.append((center, fl[r] - fl[l]))
-    if len(peaks) < 2:
-        raise InvalidInputError(
-            "fewer than two resolvable features above 3x the median power"
-        )
-    by_width = sorted(peaks, key=lambda t: t[1])
-    return _undressed(template, TWO_PI * by_width[-1][0], TWO_PI * by_width[0][0])
+        spans.append((float(f[r] - f[l]), slice(l, r + 1)))
+    if len(spans) < 2:
+        raise InvalidInputError("fewer than two resolvable features above 3x the "
+                                "median power")
+
+    def centroid(span):  # the raw argmax wanders on a noisy flat top
+        weight = np.maximum(p[span] - med, 0.0)
+        return TWO_PI * float(np.add.reduce(f[span] * weight) / np.add.reduce(weight))
+    by_width = sorted(spans, key=lambda t: t[0])
+    return _undressed(template, centroid(by_width[-1][1]), centroid(by_width[0][1]))
 
 
 def _undressed(template, dressed_cav, dressed_lc):

@@ -270,15 +270,32 @@ class TestFit:
         assert not out.exists()
 
     def test_start_outside_the_model_domain_refused(self, tmp_path, capsys):
-        # frequencies above 2.86e307 Hz overflow in rad/s: exit 2 naming the
-        # start, no report
+        # a cavity at 1.6e306 Hz puts L C out of range at every probe point:
+        # exit 2 naming the start, no report
+        hat = HAT_PRESETS["hat270"]
+        trace = tmp_path / "hat270.csv"
+        write_trace(trace, s21(hat, np.linspace(6.8e9, 7.6e9, 101)))
+        cfg = write_ini(tmp_path, "[params]\nomega_cav_hz = 1.6e306\n"
+                        f"[fit]\nfree_params = g\ntrace = {trace}\n")
+        out = tmp_path / "fit.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(["fit", "--config", cfg, "--out", str(out), "--preset", "hat270"]) == 2
+        assert "initial guess is outside the model's domain" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_frequencies_that_overflow_in_rad_s_refused(self, tmp_path, capsys):
+        # a trace above 2.86e307 Hz: exit 2 naming the frequency axis, not
+        # the start, and no report
         far = tmp_path / "far.csv"
         write_trace(far, coupled_modes.ComplexTrace(np.linspace(2.9e307, 3.0e307, 11),
                                                     np.ones(11)))
         cfg = write_ini(tmp_path, f"[fit]\nfree_params = g\ntrace = {far}\n")
         out = tmp_path / "fit.json"
         assert run(["fit", "--config", cfg, "--out", str(out), "--preset", "hat270"]) == 2
-        assert "initial guess is outside the model's domain" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "frequency axis reaches 3e+307 Hz" in err
+        assert "initial guess" not in err
         assert not out.exists()
 
     def test_coupling_whose_square_overflows_refused(self, tmp_path, capsys):

@@ -202,6 +202,16 @@ class TestS21:
             assert np.all(s21(p, grid).values == 0.0)
             assert np.all(s11(p, grid).values == 1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_frequencies_that_overflow_in_rad_s_refused(self):
+        # above 2.86e307 Hz in magnitude a grid has no finite rad/s value:
+        # refused before numpy warns, naming the axis rather than the values
+        p = reference_params()
+        for grid in ([6.9e9, 2.9e307], [-2.9e307, 6.9e9], [6.9e9, np.inf]):
+            for model in (s21, s11):
+                with pytest.raises(InvalidInputError, match="frequency axis reaches"):
+                    model(p, np.array(grid))
+
     def test_lossless_normal_mode_is_singular(self):
         # no loss and no coupling: the response diverges at the cavity frequency
         p = SystemParams.from_hz(omega_cav=7.0e9, omega_lc=6.5e9)

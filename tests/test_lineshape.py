@@ -8,6 +8,7 @@ import pytest
 from conftest import merged_grid, reference_params, random_params
 
 from cavlink import (
+    ALL_PRESETS,
     ComplexTrace,
     DegenerateParameterError,
     FitConfig,
@@ -302,13 +303,29 @@ class TestFitTrace:
                 fit_trace(trace, cfg)
 
     def test_start_outside_the_model_domain_refused(self):
-        # frequencies above 2.86e307 Hz overflow in rad/s, so the residual
-        # at the start is not finite
-        trace = ComplexTrace(np.linspace(2.9e307, 3.0e307, 11), np.ones(11))
-        config = FitConfig(free_params=("g",), initial_guess=reference_params())
+        # a cavity at 1e307 rad/s puts L C out of range at every probe
+        # point, so the residual at the start is not finite
+        hat = HAT_PRESETS["hat270"]
+        trace = s21(hat, merged_grid(hat))
+        config = FitConfig(free_params=("g",), initial_guess=hat.replace(omega_cav=1e307))
         with pytest.raises(InvalidInputError, match="initial guess is outside the model's domain"):
             with np.errstate(over="ignore", invalid="ignore"):
                 fit_trace(trace, config)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_frequencies_that_overflow_in_rad_s_refused(self):
+        # above 2.86e307 Hz the axis has no finite rad/s value: refused
+        # before numpy warns, naming the axis rather than the start
+        config = FitConfig(free_params=("g",), initial_guess=reference_params())
+        for freqs in (np.linspace(2.9e307, 3.0e307, 11), np.linspace(-3.0e307, -2.9e307, 11)):
+            with pytest.raises(InvalidInputError, match="frequency axis reaches 3e\\+307 Hz"):
+                fit_trace(ComplexTrace(freqs, np.ones(11)), config)
+        # the largest axis that converts is left to the model
+        edge = np.nextafter(np.finfo(float).max / TWO_PI, 0.0)
+        assert np.isfinite(TWO_PI * edge)
+        with pytest.raises(InvalidInputError, match="outside the model's domain"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                fit_trace(ComplexTrace(np.linspace(edge / 2, edge, 11), np.ones(11)), config)
 
     def test_ultrastrong_result_warns(self):
         # the fitted parameters warn like any other SystemParams
@@ -743,7 +760,7 @@ class TestAddNoise:
 
 # -- closed-form Jacobian against finite differences -------------------------
 
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from cavlink.coupled_modes import _theta  # noqa: E402
 from cavlink.lineshape import _residuals, _undressed  # noqa: E402
@@ -997,10 +1014,56 @@ class TestAutoInitialGuessMatchesLoop:
                     got = _guess_or_error(auto_initial_guess, trace, template)
                     assert got == want, (hat, snr, seed, trace.kind)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        source=st.one_of(st.sampled_from(sorted(ALL_PRESETS)), st.integers(0, 2**32 - 1)),
+        odd=st.booleans(),
+        kind=st.sampled_from(("s21", "s11", "power", "rounded")),
+        snr=st.floats(5.0, 100.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_spans_reference(self, source, odd, kind, snr, seed):
+        # Grids of both parities take both median branches. The reference
+        # reads power only, so it gets an S11 trace as the S21-kind trace of
+        # 1 - S11, whose power the guess reads.
+        truth = (ALL_PRESETS[source] if isinstance(source, str)
+                 else random_params(np.random.default_rng(source)))
+        assume(kind == "s11" or truth.kappa_cav_2 > 0.0)  # a one-port device has no S21
+        grid = merged_grid(truth)
+        if grid.size % 2 != odd:
+            grid = grid[:-1]
+        clean = (s11 if kind == "s11" else s21)(truth, grid)
+        trace = add_noise(clean, float(np.max(np.abs(clean.values))) / snr, seed)
+        read = trace
+        if kind == "s11":
+            read = ComplexTrace(trace.freqs, 1.0 - trace.values, TraceKind.S21)
+        elif kind != "s21":
+            trace = read = normalized_power_trace(trace)
+            if kind == "rounded":  # flat tops and tied maxima
+                trace = read = ComplexTrace(grid, np.round(trace.values, 3), TraceKind.POWER)
+        template = truth.replace(g=1.05 * truth.g)
+        want = _guess_or_error(_auto_initial_guess_spans, read, template)
+        assert _guess_or_error(auto_initial_guess, trace, template) == want
+
+    def test_equal_widths_keep_their_claim_order(self):
+        # Two features exactly 4 MHz wide at half maximum: the sort by width
+        # keeps the order of claim (tallest first), so the shorter feature is
+        # the cavity mode and the taller one the LC mode. Both are symmetric
+        # with integer samples, so each centroid is its peak frequency exactly.
+        f = 7.0e9 + 1e6 * np.arange(64)
+        p = np.ones(64)
+        p[18:23] = (2.0, 6.0, 10.0, 6.0, 2.0)
+        p[38:43] = (2.0, 5.0, 8.0, 5.0, 2.0)
+        trace = ComplexTrace(f, p, TraceKind.POWER)
+        template = HAT_PRESETS["hat270"]
+        expected = _undressed(template, TWO_PI * f[40], TWO_PI * f[20])
+        got = auto_initial_guess(trace, template)
+        assert (got.omega_cav, got.omega_lc) == (expected.omega_cav, expected.omega_lc)
+        assert _guess_or_error(_auto_initial_guess_spans, trace, template) == (
+            got.omega_cav, got.omega_lc)
+
 
 # -- the fit engine's linear algebra against the LAPACK formulas it replaced --
-
-from hypothesis import assume  # noqa: E402
 
 from cavlink import lineshape  # noqa: E402
 
