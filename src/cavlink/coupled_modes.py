@@ -208,24 +208,25 @@ def normalized_power_trace(trace: ComplexTrace) -> ComplexTrace:
 _theta = attrgetter(*PARAM_FIELDS)
 
 
-def _scattering(om, theta, kind, free=(), self_energy=()):
+def _scattering(om, theta, kind, free=(), poles=()):
     """The model kernel: S21 or S11 on raw arrays, optionally with dS/dtheta.
 
     ``om`` holds angular probe frequencies and ``theta`` the seven parameters
     as plain floats in PARAM_FIELDS order; callers validate both. With
 
         D(omega) = C(omega) + g^2 / L(omega),   C(omega) = i(omega_cav - omega) + kappa_cav_tot/2,
-        L(omega) = i(omega_lc - omega) + kappa_lc_bare/2 + sum(self_energy),
+        L(omega) = i(omega_lc - omega) + kappa_lc_bare/2 + sum(w / (i(c - omega) + h)),
 
     S21 = sqrt(kappa_cav_1 kappa_cav_2) q and S11 = 1 - kappa_cav_1 q with
     q = 1/D = L / (L C + g^2) (1/C when g = 0): one reciprocal per call, which
-    the derivatives share. The ``self_energy`` arrays, which do not depend on
-    theta, are added to L in order. Where L vanishes (lossless LC driven
+    the derivatives share. The sum runs in order over ``poles``: rad/s triples
+    (c, h, w) = (center, half_width, weight), fixed in theta, that are the
+    self-energies of pumped mechanical modes. Where L vanishes (lossless LC driven
     exactly on resonance) q = 0 exactly, so S21 = 0 and S11 = 1. The domain
     is finite: once g, or both |omega - omega_cav| and |omega - omega_lc|,
     exceed about 1.3e154 rad/s, L C + g^2 overflows and q reads 0, its true
     size being below 1e-154 s; once a distance times a half-rate overflows
-    too (from 3.5e299 rad/s for the hats), the values are NaN.
+    too (from 3.5e299 rad/s for the hats), the values are NaN: refused by _response.
 
     ``free`` lists indices into PARAM_FIELDS. When it is non-empty the kernel
     returns ``(values, jac)`` with ``jac[:, k] = dS/dtheta[free[k]]`` (the
@@ -240,12 +241,16 @@ def _scattering(om, theta, kind, free=(), self_energy=()):
     Raises
     ------
     SingularResponseError
-        If D vanishes at a probe point (lossless system on a normal mode).
+        If D vanishes at a probe point (lossless system on a normal mode), or
+        a pole's denominator does (an undamped mechanical sideband).
     """
     omega_cav, omega_lc, k1, k2, k_loss, k_lc, g = theta
     lc_inverse = 1j * (omega_lc - om) + 0.5 * k_lc
-    for term in self_energy:
-        lc_inverse = lc_inverse + term
+    for center, half_width, weight in poles:
+        pole = 1j * (center - om) + half_width
+        if (pole == 0.0).any():
+            raise SingularResponseError("probe grid hits an undamped mechanical sideband exactly")
+        lc_inverse = lc_inverse + weight / pole
     cavity = 1j * (omega_cav - om) + 0.5 * (k1 + k2 + k_loss)
     bare = g == 0.0  # then D = C: q = 1/C and u = 0
     den = cavity if bare else lc_inverse * cavity + g * g
@@ -320,14 +325,18 @@ def s11(params: SystemParams, freqs) -> ComplexTrace:
     return _response(params, freqs, TraceKind.S11)
 
 
-def _response(params, freqs, kind, self_energy=()) -> ComplexTrace:
-    """The kernel's ``kind`` trace of ``params`` on a Hz grid, with the
-    rad/s ``self_energy`` terms added to the LC's inverse susceptibility."""
+def _response(params, freqs, kind, poles=()) -> ComplexTrace:
+    """The kernel's ``kind`` trace of ``params`` on a Hz grid, with rad/s ``poles``
+    added to L; a grid where the values are not finite is refused quietly."""
     # an array even for a scalar, which ComplexTrace then refuses
     f = np.atleast_1d(np.asarray(freqs, dtype=float))
     if f.size:
         _check_axis(float(f.min()), float(f.max()))
-    vals = _scattering(hz_to_angular(f), _theta(params), kind, self_energy=self_energy)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        vals = _scattering(hz_to_angular(f), _theta(params), kind, poles=poles)
+    if not np.isfinite(vals).all() and not np.isnan(f).any():
+        raise InvalidInputError(f"frequency axis reaches {float(np.abs(f).max())!r} Hz in "
+                                "magnitude, where the model overflows with these parameters")
     return ComplexTrace(freqs, vals, kind)
 
 

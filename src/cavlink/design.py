@@ -148,11 +148,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         valid &= ~fifty_fifty & _RULES["finite"](delta)
         noisy = _ultrastrong(p["omega_cav"], p["omega_lc"], p["g"])
     budget = _rate_budget(*(p[field] for field in RATE_FIELDS), delta)
-    _, keff1, keff2, _, lc_loss, lc_tot, fraction, _, diverges = budget
-    # effective_rates refuses diverging rates; DerivedRates, a budget that
-    # is not the exact sum or a fraction outside [0, 1]
-    valid &= ~diverges & (lc_tot == keff1 + keff2 + lc_loss)
-    valid &= _RULES["in [0, 1]"](fraction)
+    _, keff1, _, _, _, lc_tot, fraction, _, diverges = budget
+    # effective_rates refuses diverging rates; DerivedRates, a fraction outside
+    # [0, 1] (its exact-sum check fails only on a NaN lc_tot, whose fraction is NaN)
+    valid &= ~diverges & _RULES["in [0, 1]"](fraction)
 
     lo, hi = targets.coupling_band_hz
     keff1_hz = angular_to_hz(keff1)

@@ -28,8 +28,7 @@ from .coupled_modes import (
     dressed_modes,
     effective_rates,
 )
-from .errors import InvalidInputError, SingularResponseError, ValidityWarning, _require
-from .units import hz_to_angular
+from .errors import InvalidInputError, ValidityWarning, _require
 
 
 @dataclass(frozen=True)
@@ -92,8 +91,8 @@ def multi_mode_omit(pumped, modes, couplings, omega_pump, freqs) -> ComplexTrace
         1/chi_eff(omega) = i(omega_lc' - omega) + kappa_lc_bare'/2
                            + sum_j G_j^2 / (i(omega_pump + omega_m_j - omega) + gamma_m_j/2)
 
-    where the primes include the pump's shift and extra loss. The reflection
-    is then propagated through the same two-mode denominator as :func:`s11`.
+    where the primes include the pump's shift and extra loss. Each term with G_j > 0
+    goes to :func:`s11`'s kernel as one pole (omega_pump + omega_m_j, gamma_m_j/2, G_j^2).
 
     Parameters
     ----------
@@ -102,7 +101,7 @@ def multi_mode_omit(pumped, modes, couplings, omega_pump, freqs) -> ComplexTrace
         :func:`pumped_lc_params` returns it.
     modes : sequence of MechanicalMode
     couplings : sequence of float
-        Per-mode pump-enhanced coupling G_j >= 0 (rad/s), parallel to modes.
+        Per-mode pump-enhanced coupling G_j >= 0 (rad/s), G_j^2 finite, parallel to modes.
     omega_pump : float
         Pump frequency (rad/s).
     freqs : array
@@ -129,11 +128,12 @@ def multi_mode_omit(pumped, modes, couplings, omega_pump, freqs) -> ComplexTrace
         raise InvalidInputError("need exactly one coupling per mechanical mode")
     for c in couplings:
         _require("couplings", c, "non-negative")
+        if c * c == np.inf:  # G^2 is the weight of the mode's pole in the kernel
+            raise InvalidInputError(f"couplings must square to a finite weight, got {c!r}")
     for i in range(len(modes)):
         for j in range(i + 1, len(modes)):
-            if abs(modes[i].omega_m - modes[j].omega_m) < max(
-                modes[i].gamma_m, modes[j].gamma_m
-            ):
+            mi, mj = modes[i], modes[j]
+            if abs(mi.omega_m - mj.omega_m) < max(mi.gamma_m, mj.gamma_m):
                 warnings.warn(
                     f"mechanical modes {i} and {j} overlap within their "
                     "linewidths; their transparency windows will merge",
@@ -158,18 +158,9 @@ def multi_mode_omit(pumped, modes, couplings, omega_pump, freqs) -> ComplexTrace
                 stacklevel=2,
             )
 
-    om = hz_to_angular(np.asarray(freqs, dtype=float))
-    self_energy = []
-    for mode, coupling in zip(modes, couplings):
-        if coupling == 0.0:
-            continue
-        den = 1j * (omega_pump + mode.omega_m - om) + 0.5 * mode.gamma_m
-        if np.any(den == 0.0):
-            raise SingularResponseError(
-                "probe grid hits an undamped mechanical sideband exactly"
-            )
-        self_energy.append(coupling * coupling / den)
-    return _response(pumped, freqs, TraceKind.S11, self_energy)
+    poles = [(omega_pump + m.omega_m, 0.5 * m.gamma_m, G * G)
+             for m, G in zip(modes, couplings) if G != 0.0]
+    return _response(pumped, freqs, TraceKind.S11, poles)
 
 
 def transparency_signal(pumped, on: ComplexTrace) -> ComplexTrace:

@@ -139,12 +139,12 @@ def extract_fwhm(trace: ComplexTrace, window) -> tuple:
             stacklevel=2,
         )
 
-    # Parabolic vertex through the three samples around the maximum,
-    # in coordinates centered on the peak sample for conditioning.
-    xs = f[imax - 1 : imax + 2] - f[imax]
-    ys = q[imax - 1 : imax + 2]
-    a, b, _ = np.polyfit(xs, ys, 2)
-    center = float(f[imax] - b / (2.0 * a)) if a < 0.0 else float(f[imax])
+    # Parabolic vertex through the three samples around the maximum, in
+    # coordinates centered on the peak sample (x1 = 0), from divided differences.
+    x0, x2 = f[imax - 1] - f[imax], f[imax + 1] - f[imax]
+    d0, d2 = (q[imax - 1] - q[imax]) / x0, (q[imax + 1] - q[imax]) / x2
+    a = (d2 - d0) / (x2 - x0)
+    center = float(f[imax] - (d0 - a * x0) / (2.0 * a)) if a < 0.0 else float(f[imax])
 
     return center, fwhm
 

@@ -100,8 +100,10 @@ class TestSimulate:
         ("", ("-1e308", "7.6e9"),
          "grid.f_start_hz: must be at most 2.86e+307 Hz in magnitude, got -1e308"),
         ("", ("7.6e9", "6.8e9"), "grid.f_stop_hz: must be greater than grid.f_start_hz"),
+        # finite in rad/s, but the model's values are not: the axis is named
+        ("", ("1e299", "2e299"), "frequency axis reaches 2e+299 Hz"),
     ], ids=["negative_rate", "zero_frequency", "overflow", "grid_stop_overflow",
-            "grid_start_overflow", "grid_unordered"])
+            "grid_start_overflow", "grid_unordered", "grid_past_numeric_domain"])
     def test_params_named_in_hz(self, tmp_path, capsys, line, grid, message):
         start, stop = grid or ("6.8e9", "7.6e9")
         text = f"[grid]\nf_start_hz = {start}\nf_stop_hz = {stop}\npoints = 101\n"

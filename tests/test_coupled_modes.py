@@ -176,18 +176,18 @@ class TestS21:
         expected = 4.0 * p.kappa_cav_1 * p.kappa_cav_2 / k**2
         assert peak == pytest.approx(expected, rel=1e-12)
 
-    def test_empty_grid_rejected(self):
-        # ComplexTrace refuses every grid that is not 1-D with 2 or more points
-        p = reference_params()
+    @staticmethod
+    def omit_and_responses(p):
+        """s21, s11 and a one-mode multi_mode_omit of ``p``, each a function of the grid."""
         mode = MechanicalMode(TWO_PI * 0.66e6, TWO_PI * 10.0)
         pump = lower_sideband_pump(p, mode)
-        models = (
-            lambda f: s21(p, f),
-            lambda f: s11(p, f),
-            lambda f: multi_mode_omit(p, (mode,), (TWO_PI * 1e3,), pump, f),
-        )
+        return (lambda f: s21(p, f), lambda f: s11(p, f),
+                lambda f: multi_mode_omit(p, (mode,), (TWO_PI * 1e3,), pump, f))
+
+    def test_empty_grid_rejected(self):
+        # ComplexTrace refuses every grid that is not 1-D with 2 or more points
         for grid in ([], [6.9e9], [[6.9e9, 6.95e9], [7.05e9, 7.1e9]]):
-            for model in models:
+            for model in self.omit_and_responses(reference_params()):
                 with pytest.raises(InvalidInputError, match="at least 2 samples"):
                     model(np.array(grid))
 
@@ -205,12 +205,23 @@ class TestS21:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_frequencies_that_overflow_in_rad_s_refused(self):
         # above 2.86e307 Hz in magnitude a grid has no finite rad/s value:
-        # refused before numpy warns, naming the axis rather than the values
-        p = reference_params()
-        for grid in ([6.9e9, 2.9e307], [-2.9e307, 6.9e9], [6.9e9, np.inf]):
-            for model in (s21, s11):
+        # refused before numpy warns (for OMIT too, before any pole is
+        # formed), naming the axis rather than the values; from about 1e299 Hz
+        # a distance times a half-rate overflows, refused quietly as well
+        for grid in ([6.9e9, 2.9e307], [-2.9e307, 6.9e9], [6.9e9, np.inf],
+                     [1e299, 2e299], [-2e299, -1e299]):
+            for model in self.omit_and_responses(reference_params()):
                 with pytest.raises(InvalidInputError, match="frequency axis reaches"):
-                    model(p, np.array(grid))
+                    model(np.array(grid))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_region_reads_quietly(self):
+        # below the refused far grids, L C + g^2 overflows and q reads 0:
+        # S21 is 0 and S11 is 1, with no warning
+        p = reference_params()
+        for grid in ([1e160, 2e160], [1e297, 2e297]):
+            assert np.all(s21(p, np.array(grid)).values == 0.0)
+            assert np.all(s11(p, np.array(grid)).values == 1.0)
 
     def test_lossless_normal_mode_is_singular(self):
         # no loss and no coupling: the response diverges at the cavity frequency
@@ -687,12 +698,13 @@ class TestKernelAccuracy:
     number multiplies |S11| + kappa_cav_1 |q|."""
 
     @staticmethod
-    def assert_accurate(p, om, self_energy=()):
+    def assert_accurate(p, om, poles=()):
         omega_cav, omega_lc, k1, k2, k_loss, k_lc, g = np.array(_theta(p), np.longdouble)
         w = om.astype(np.longdouble)
         lc = (1j * (omega_lc - w) + k_lc / 2).astype(np.clongdouble)
-        for term in self_energy:
-            lc = lc + term.astype(np.clongdouble)
+        for center, half_width, weight in poles:
+            # formed in float64 as the kernel forms it, then widened
+            lc = lc + (weight / (1j * (center - om) + half_width)).astype(np.clongdouble)
         cavity = (1j * (omega_cav - w) + (k1 + k2 + k_loss) / 2).astype(np.clongdouble)
         d = cavity + g * g / lc
         condition = (np.abs(cavity) + g * g / np.abs(lc)) / np.abs(d)
@@ -700,7 +712,7 @@ class TestKernelAccuracy:
         want = {TraceKind.S21: (np.sqrt(k1 * k2) * q, 0.0),
                 TraceKind.S11: (1 - k1 * q, k1 * np.abs(q))}
         for kind, (exact, cancelled) in want.items():
-            got = _scattering(om, _theta(p), kind, self_energy=self_energy)
+            got = _scattering(om, _theta(p), kind, poles=poles)
             error = np.abs(got.astype(np.clongdouble) - exact)
             scale = np.abs(exact) + cancelled
             assert np.all(error <= 16 * _EPS * condition * scale), kind
@@ -715,8 +727,8 @@ class TestKernelAccuracy:
     @given(preset_draws(), st.floats(0.3e6, 2e6), st.floats(1.0, 100.0),
            st.floats(10.0, 1e4))
     def test_response_with_a_mechanical_self_energy(self, p, omega_m, gamma_m, gamma_e):
-        # one mode on the lower sideband of the dressed LC line, its
-        # self-energy formed as multi_mode_omit forms it
+        # one mode on the lower sideband of the dressed LC line, handed to
+        # the kernel as the pole multi_mode_omit forms
         mode = MechanicalMode(TWO_PI * omega_m, TWO_PI * gamma_m)
         kappa_lc_tot = effective_rates(p).kappa_lc_tot
         coupling = coupling_for_damping(TWO_PI * gamma_e, kappa_lc_tot)
@@ -724,5 +736,4 @@ class TestKernelAccuracy:
         center, width = pump + mode.omega_m, mode.gamma_m + TWO_PI * gamma_e
         om = np.concatenate([center + np.linspace(-3, 3, 401) * kappa_lc_tot,
                              center + np.linspace(-30, 30, 401) * width])
-        self_energy = coupling * coupling / (1j * (center - om) + 0.5 * mode.gamma_m)
-        self.assert_accurate(p, om, (self_energy,))
+        self.assert_accurate(p, om, [(center, 0.5 * mode.gamma_m, coupling * coupling)])

@@ -83,6 +83,9 @@ class TestValidation:
             multi_mode_omit(params, (mode,), (coupling, coupling), omega_pump, grid)
         with pytest.raises(InvalidInputError, match="non-negative"):
             multi_mode_omit(params, (mode,), (-coupling,), omega_pump, grid)
+        # G^2 is the kernel's pole weight: one that overflows names the couplings
+        with pytest.raises(InvalidInputError, match="couplings must square"):
+            multi_mode_omit(params, (mode,), (1e160,), omega_pump, grid)
 
 
     def test_transparency_signal_needs_s11(self):

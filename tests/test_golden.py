@@ -8,7 +8,9 @@ writes against ``tests/golden/``:
   and non-numeric text exactly, while numbers may move by at most 1e-12
   relative (fits pass through LAPACK's symmetric eigensolver and BLAS
   products, sweeps and omit runs through libm, and the last digits of
-  these may differ between builds and machines).
+  these may differ between builds and machines). Sweep CSVs and both omit
+  outputs call no BLAS or LAPACK routine, so on one build they regenerate
+  byte for byte, and CI checks that they do.
 
 Regenerate the expected files (only after a deliberate output change) with
 
