@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from operator import attrgetter
 
@@ -79,6 +79,11 @@ class SystemParams:
             if not _RULES[rule](value):  # the test alone on the hot path
                 _require(name, value, rule, "rad/s")
             object.__setattr__(self, name, value)
+        if self.kappa_cav_1 * self.kappa_cav_2 == math.inf:  # S21 scales with its root
+            raise InvalidInputError(
+                "kappa_cav_1 and kappa_cav_2 must have a finite product in (rad/s)^2, "
+                f"got {self.kappa_cav_1!r} and {self.kappa_cav_2!r}"
+            )
         if _ultrastrong(self.omega_cav, self.omega_lc, self.g):
             _warn_ultrastrong()
 
@@ -226,7 +231,7 @@ def _scattering(om, theta, kind, free=(), poles=()):
     is finite: once g, or both |omega - omega_cav| and |omega - omega_lc|,
     exceed about 1.3e154 rad/s, L C + g^2 overflows and q reads 0, its true
     size being below 1e-154 s; once a distance times a half-rate overflows
-    too (from 3.5e299 rad/s for the hats), the values are NaN: refused by _response.
+    too (from 3.5e299 rad/s for the hats), the values are NaN: refused by _in_domain.
 
     ``free`` lists indices into PARAM_FIELDS. When it is non-empty the kernel
     returns ``(values, jac)`` with ``jac[:, k] = dS/dtheta[free[k]]`` (the
@@ -327,17 +332,35 @@ def s11(params: SystemParams, freqs) -> ComplexTrace:
 
 def _response(params, freqs, kind, poles=()) -> ComplexTrace:
     """The kernel's ``kind`` trace of ``params`` on a Hz grid, with rad/s ``poles``
-    added to L; a grid where the values are not finite is refused quietly."""
+    added to L, through :func:`_in_domain`."""
     # an array even for a scalar, which ComplexTrace then refuses
     f = np.atleast_1d(np.asarray(freqs, dtype=float))
     if f.size:
         _check_axis(float(f.min()), float(f.max()))
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
-        vals = _scattering(hz_to_angular(f), _theta(params), kind, poles=poles)
-    if not np.isfinite(vals).all() and not np.isnan(f).any():
-        raise InvalidInputError(f"frequency axis reaches {float(np.abs(f).max())!r} Hz in "
-                                "magnitude, where the model overflows with these parameters")
+    theta = _theta(params)
+    vals = _in_domain(f, theta, "parameters are outside the model's domain",
+                      _scattering, hz_to_angular(f), theta, kind, (), poles)
     return ComplexTrace(freqs, vals, kind)
+
+
+def _in_domain(f, theta, blame, evaluate, *args):
+    """``evaluate(*args)`` with numpy's overflow and invalid warnings off.
+
+    Its values (the first item, if it returns a pair) must be finite on the
+    Hz grid ``f``. Where they are not, and ``f`` holds no NaN, the model
+    overflows, and this is refused quietly: naming the axis when it reaches
+    past every parameter in ``theta`` (rad/s), else with ``blame``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = evaluate(*args)
+    values = out[0] if type(out) is tuple else out
+    if not np.isfinite(values).all() and not np.isnan(f).any():
+        largest = float(np.abs(f).max())
+        if TWO_PI * largest <= max(theta):
+            raise InvalidInputError(blame)
+        raise InvalidInputError(f"frequency axis reaches {largest!r} Hz in magnitude, where "
+                                "the model overflows with these parameters")
+    return out
 
 
 def _check_axis(lowest, highest):
@@ -514,6 +537,29 @@ class DerivedRates:
         """Report form, keyed by DERIVED_RATE_KEYS."""
         return {key: angular_to_hz(getattr(self, key[:-3])) if key.endswith("_hz")
                 else getattr(self, key) for key in DERIVED_RATE_KEYS}
+
+
+def _checked(cls):
+    """A constructor of the frozen dataclass ``cls`` that takes its fields
+    in order, for fields an array pass has already checked: it runs neither
+    the generated ``__init__`` nor ``__post_init__``. The instance is the
+    one the public constructor gives: frozen, equal, with the same hash,
+    and it pickles."""
+    names = [f.name for f in fields(cls)]
+    # Built from source as dataclasses builds __init__: one store per field
+    # into the instance's dict costs about half of an update from a zip.
+    source = (f"def build({', '.join(names)}):\n"
+              "    _instance = _new(_cls)\n"
+              "    _state = _instance.__dict__\n"
+              + "".join(f"    _state[{name!r}] = {name}\n" for name in names)
+              + "    return _instance\n")
+    scope = {"_new": object.__new__, "_cls": cls}
+    exec(source, scope)
+    return scope["build"]
+
+
+#: :class:`DerivedRates` from fields that ``run_sweep``'s masks have checked.
+_checked_rates = _checked(DerivedRates)
 
 
 def effective_rates(params: SystemParams, *, delta_eff=None) -> DerivedRates:

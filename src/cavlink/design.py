@@ -10,7 +10,7 @@ reports; the underlying physics stays in rad/s via :mod:`cavlink.coupled_modes`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,8 @@ from .coupled_modes import (
     DEFAULT_SIDEBAND_THRESHOLD,
     _PARAM_RULE,
     _bare_detuning,
+    _checked,
+    _checked_rates,
     _dressed,
     _rate_budget,
     _theta,
@@ -60,12 +62,16 @@ class SweepTargets:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One-knob sweep: which field to scan, over which Hz values."""
+    """One-knob sweep: which field to scan, over which Hz values.
+
+    ``values_hz`` is stored as a tuple of floats. Specs that name no
+    ``targets`` share one default ``SweepTargets()``, built and checked once.
+    """
 
     base_params: SystemParams
     swept_field: str
     values_hz: tuple
-    targets: SweepTargets = field(default_factory=SweepTargets)
+    targets: SweepTargets = SweepTargets()
 
     def __post_init__(self):
         if self.swept_field not in SWEEPABLE_FIELDS:
@@ -73,7 +79,7 @@ class SweepSpec:
                 f"swept_field must be one of {SWEEPABLE_FIELDS}, "
                 f"got {self.swept_field!r}"
             )
-        values = tuple(float(v) for v in self.values_hz)
+        values = tuple(map(float, self.values_hz))
         if not values:
             raise InvalidInputError("values_hz must be non-empty")
         object.__setattr__(self, "values_hz", values)
@@ -94,6 +100,10 @@ class SweepRow:
     sideband_resolved: bool
     dissipation_ok: bool
     message: str = ""
+
+
+#: :class:`SweepRow` from columns that ``run_sweep``'s masks have checked.
+_checked_row = _checked(SweepRow)
 
 
 @dataclass(frozen=True)
@@ -126,20 +136,28 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the derived rates and target verdicts at every sweep value.
 
     The whole sweep is one array pass: one closed-form mode solve (unless
-    delta_eff is swept) and one rate budget over all values. Values that
-    violate parameter invariants (for example a negative rate) keep their
-    place as invalid rows instead of aborting the sweep; each carries the
-    message the library's own check raises for that value.
+    delta_eff is swept) and one rate budget over all values. Every rule that
+    ``SystemParams``, ``effective_rates`` and ``DerivedRates`` check runs
+    once, as a mask over the sweep, and each row is then built from the
+    checked columns without being checked again. Values that violate
+    parameter invariants (for example a negative rate) keep their place as
+    invalid rows instead of aborting the sweep; each carries the message the
+    library's own check raises for that value.
     """
     base, name, targets = spec.base_params, spec.swept_field, spec.targets
     x = hz_to_angular(np.array(spec.values_hz))
-    # the check SystemParams (or effective_rates, for delta_eff) makes
+    # the checks SystemParams (or effective_rates, for delta_eff) makes
     valid = _RULES["finite" if name == "delta_eff" else _PARAM_RULE[name]](x)
+    if name in ("kappa_cav_1", "kappa_cav_2"):
+        other = base.kappa_cav_2 if name == "kappa_cav_1" else base.kappa_cav_1
+        with np.errstate(over="ignore", invalid="ignore"):
+            valid &= x * other < math.inf
     x = np.where(valid, x, 0.0)  # refused values stay out of the arithmetic
     p = dict(zip(PARAM_FIELDS, _theta(base)))
+    n = x.size
     if name == "delta_eff":
         delta = x
-        noisy = False
+        noisy = [False] * n
     else:
         p[name] = x
         # dressed_modes and SystemParams' warning test on every value at once
@@ -147,37 +165,38 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         delta = lam_cav.real - lam_lc.real
         valid &= ~fifty_fifty & _RULES["finite"](delta)
         noisy = _ultrastrong(p["omega_cav"], p["omega_lc"], p["g"])
+        noisy = noisy.tolist() if type(noisy) is np.ndarray else [noisy] * n
     budget = _rate_budget(*(p[field] for field in RATE_FIELDS), delta)
-    _, keff1, _, _, _, lc_tot, fraction, _, diverges = budget
+    ktot, keff1, keff2, _, lc_loss, lc_tot, fraction, _, diverges = budget
     # effective_rates refuses diverging rates; DerivedRates, a fraction outside
-    # [0, 1] (its exact-sum check fails only on a NaN lc_tot, whose fraction is NaN)
-    valid &= ~diverges & _RULES["in [0, 1]"](fraction)
+    # [0, 1] and a kappa_lc_tot that is not the exact sum
+    valid &= (~diverges & _RULES["in [0, 1]"](fraction)
+              & (lc_tot == keff1 + keff2 + lc_loss))
 
     lo, hi = targets.coupling_band_hz
     keff1_hz = angular_to_hz(keff1)
     ratio = resolved_sideband_ratio(
         np.where(valid, lc_tot, 0.0), hz_to_angular(targets.omega_m_hz)
     )
-    flags = zip(
+    # delta has one entry per value, and so has every budget column that
+    # follows it; only kappa_cav_tot can be one scalar for the whole sweep
+    ktot = ktot.tolist() if type(ktot) is np.ndarray else [ktot] * n
+    columns = zip(delta.tolist(), ktot, *(c.tolist() for c in budget[1:-1]))
+    rows = []
+    for value_hz, ok, warn, fields, band, sideband, dissipation in zip(
+        spec.values_hz,
         valid.tolist(),
-        np.broadcast_to(noisy, x.shape).tolist(),
+        noisy,
+        columns,
         ((lo <= keff1_hz) & (keff1_hz <= hi)).tolist(),
         (ratio < targets.sideband_threshold).tolist(),
         (fraction <= targets.max_dissipation_fraction).tolist(),
-    )
-    # delta has one entry per value, and so has every budget column that
-    # follows it; only kappa_cav_tot can be one scalar for the whole sweep
-    ktot = np.broadcast_to(budget[0], x.shape)
-    columns = zip(*(c.tolist() for c in (delta, ktot, *budget[1:-1])))
-    rows = []
-    for value_hz, fields, (ok, warn, band, sideband, dissipation) in zip(
-        spec.values_hz, columns, flags
     ):
         if ok:
             if warn:
                 _warn_ultrastrong()
-            rates = DerivedRates(*fields)
-            rows.append(SweepRow(value_hz, True, rates, band, sideband, dissipation))
+            rates = _checked_rates(*fields)
+            rows.append(_checked_row(value_hz, True, rates, band, sideband, dissipation, ""))
         else:
             message = _refusal(base, name, value_hz)
             rows.append(SweepRow(value_hz, False, None, False, False, False, message))

@@ -26,6 +26,7 @@ from .coupled_modes import (
     _PARAM_RULE,
     _bare_detuning,
     _check_axis,
+    _in_domain,
     _scattering,
     _theta,
     normalized_power_trace,
@@ -298,10 +299,11 @@ def _step(w, v, gradient, lam):
     return -v @ ((v.T @ gradient) / (w + lam))
 
 
-def _least_squares(evaluate, x, lo, hi, names, max_iterations, tolerance):
+def _least_squares(evaluate, x, start, lo, hi, names, max_iterations, tolerance):
     """Damped least squares (Levenberg-Marquardt, after Moré 1978) from ``x``
     in the box [``lo``, ``hi``]; ``evaluate(x)`` gives the real residual and
-    its Jacobian, whose columns ``names`` label.
+    its Jacobian, whose columns ``names`` label. ``start`` is that pair at
+    ``x``, which the caller evaluates and may check first.
 
     The engine owns the algorithm: it counts evaluations, refuses a start
     whose residual is not finite or whose J is degenerate
@@ -317,7 +319,7 @@ def _least_squares(evaluate, x, lo, hi, names, max_iterations, tolerance):
     Returns the end point, each parameter's 1-sigma in the units of ``x``
     and the run's ``FitResult`` fields.
     """
-    r_cur, jac = evaluate(x)
+    r_cur, jac = start
     if not np.isfinite(r_cur).all():
         raise InvalidInputError("initial guess is outside the model's domain")
     cost, evaluations, m = float(r_cur @ r_cur), 1, r_cur.size
@@ -406,6 +408,9 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
         When the initial Jacobian shows a parameter or a combination of
         parameters with no effect (e.g. kappa_cav_2 and kappa_cav_loss on a
         normalized transmission-power trace, where only their sum enters).
+    InvalidInputError
+        When the model overflows at the start: naming the frequency axis if
+        it reaches past every parameter, else the initial guess.
     """
     names = config.free_params
     if len(trace) < _MIN_POINTS_PER_PARAM * len(names):
@@ -431,7 +436,11 @@ def fit_trace(trace: ComplexTrace, config: FitConfig) -> FitResult:
             theta[index] = float(value)
         return _residuals(om, theta, trace.kind, data, free)
 
-    x, sigma, run = _least_squares(evaluate, x, lo, hi, names, config.max_iterations,
+    # the start runs quietly: a trace whose axis overflows the model is
+    # refused naming the axis, a start that does naming the guess
+    start = _in_domain(trace.freqs, theta, "initial guess is outside the model's domain",
+                       evaluate, x)
+    x, sigma, run = _least_squares(evaluate, x, start, lo, hi, names, config.max_iterations,
                                    config.tolerance)
     uncertainties = {n: angular_to_hz(float(s)) for n, s in zip(names, sigma)}
     return FitResult(params=base.replace(**dict(zip(names, x))),

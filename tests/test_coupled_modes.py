@@ -98,6 +98,18 @@ class TestSystemParams:
                 (row,) = run_sweep(SweepSpec(base, name, (value,))).rows
                 assert row.valid == inside
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_port_rates_whose_product_overflows_refused(self):
+        # S21 scales with sqrt(kappa_cav_1 kappa_cav_2): a product that
+        # overflows is refused where the rates enter, naming both, rather
+        # than by s21 blaming the frequency axis; a finite one is the model's
+        p = reference_params()
+        with pytest.raises(InvalidInputError,
+                           match=r"^kappa_cav_1 and kappa_cav_2 must have a finite product"):
+            s21(p.replace(kappa_cav_1=1e300, kappa_cav_2=1e300), [6.9e9, 7e9])
+        assert np.isfinite(s21(p.replace(kappa_cav_1=1e154, kappa_cav_2=1e154),
+                               [6.9e9, 7e9]).values).all()
+
     def test_kappa_cav_tot_is_port_sum(self):
         p = reference_params()
         expected = p.kappa_cav_1 + p.kappa_cav_2 + p.kappa_cav_loss
@@ -213,6 +225,16 @@ class TestS21:
             for model in self.omit_and_responses(reference_params()):
                 with pytest.raises(InvalidInputError, match="frequency axis reaches"):
                     model(np.array(grid))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_parameters_past_the_numeric_domain_refused(self):
+        # a cavity at 1e307 rad/s overflows L C on an ordinary grid: the
+        # parameters reach past the axis, so they are named, not the axis
+        p = reference_params().replace(omega_cav=1e307)
+        for model in self.omit_and_responses(p):
+            with pytest.raises(InvalidInputError,
+                               match="^parameters are outside the model's domain$"):
+                model(np.array([6.9e9, 7e9]))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_zero_region_reads_quietly(self):

@@ -1,6 +1,8 @@
 """Sweeps, target inversion, and presets."""
 
 import math
+import pickle
+from dataclasses import FrozenInstanceError, astuple, fields
 
 import numpy as np
 import pytest
@@ -377,6 +379,8 @@ import warnings  # noqa: E402
 from cavlink import (  # noqa: E402
     SWEEPABLE_FIELDS,
     BranchAssignmentError,
+    DerivedRates,
+    SweepRow,
     ValidityWarning,
     resolved_sideband_ratio,
 )
@@ -428,8 +432,9 @@ def _near(value, threshold):
 
 def assert_sweep_matches_scalar(base, field, values_hz, targets=SweepTargets()):
     """Each row of run_sweep against the scalar path for its value: order,
-    flag and message exact, rates to 1e-12, the budget identity exact,
-    verdicts equal away from their thresholds, the same warnings."""
+    flag and message exact, rates to 1e-12, the budget identity exact and
+    the rates accepted by DerivedRates' own checks, verdicts equal away from
+    their thresholds, the same warnings."""
     result, swept = _recorded(lambda: run_sweep(SweepSpec(base, field, values_hz, targets)))
     reference, scalar = _recorded(
         lambda: [_scalar_rates(base, field, v) for v in result.spec.values_hz]
@@ -445,6 +450,7 @@ def assert_sweep_matches_scalar(base, field, values_hz, targets=SweepTargets()):
             assert not (row.in_coupling_band or row.sideband_resolved or row.dissipation_ok)
             continue
         got = row.rates
+        assert DerivedRates(*astuple(got)) == got
         for name in _RATE_NAMES:
             want = getattr(rates, name)
             assert abs(getattr(got, name) - want) <= 1e-12 * abs(want), name
@@ -514,3 +520,48 @@ class TestArraySweepMatchesScalarPath:
         values = (57e6, 690e6, math.nextafter(700e6, 0), 700e6, 710e6, -1.0, 800e6, 2e9)
         _, swept = assert_sweep_matches_scalar(HAT_PRESETS["hat270"], "g", values)
         assert [category for category, _ in swept] == [ValidityWarning] * 4
+
+    def test_port_rates_whose_product_overflows(self):
+        # SystemParams refuses kappa_cav_1 kappa_cav_2 = inf, and so does
+        # the sweep's mask, before any square of the rate overflows
+        for field in ("kappa_cav_1", "kappa_cav_2"):
+            result, _ = assert_sweep_matches_scalar(HAT_PRESETS["hat270"], field,
+                                                    (150e6, 1e302, 5e6))
+            assert [row.valid for row in result.rows] == [True, False, True]
+            assert "must have a finite product" in result.rows[1].message
+
+class TestCheckedRows:
+    def test_rows_are_the_constructed_instances(self):
+        # rows and rates built from the checked columns are what the public
+        # constructors give: frozen, equal, hashed alike, and they pickle
+        values = (57e6, 690e6, -1.0, 800e6, 2e9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidityWarning)
+            rows = run_sweep(SweepSpec(HAT_PRESETS["hat270"], "g", values)).rows
+        assert [row.valid for row in rows] == [True, True, False, True, True]
+        for row in rows:
+            rates = None if row.rates is None else DerivedRates(*astuple(row.rates))
+            twin = SweepRow(row.value_hz, row.valid, rates, row.in_coupling_band,
+                            row.sideband_resolved, row.dissipation_ok, row.message)
+            for built, public in ((row, twin), (row.rates, rates)):
+                if built is None:
+                    continue
+                assert type(built) is type(public)
+                assert built == public and hash(built) == hash(public)
+                assert repr(built) == repr(public)
+                assert pickle.loads(pickle.dumps(built)) == public
+                with pytest.raises(FrozenInstanceError):
+                    setattr(built, fields(built)[0].name, 0.0)
+
+    def test_fraction_of_two_infinite_rates_refused(self):
+        # g^2 overflows, so every rate is inf at a finite detuning and the
+        # dissipation fraction inf/inf is NaN; the exact sum inf == inf holds,
+        # so the sweep's fraction mask alone refuses these rows, as
+        # DerivedRates does
+        with pytest.warns(ValidityWarning):
+            base = HAT_PRESETS["hat270"].replace(g=1e160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's inf/inf
+            rows = run_sweep(SweepSpec(base, "delta_eff", (0.0, 520e6))).rows
+        assert [row.message for row in rows] == [
+            "dissipation_fraction must be in [0, 1], got nan"] * 2
