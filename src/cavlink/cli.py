@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import math
 import os
 import sys
 import warnings
@@ -120,6 +121,11 @@ _TABLES = {
 _EITHER = {"trace": "traces", "monte_carlo_runs": "traces", "noise_amplitude": "traces",
            "shared": "trace", "start_hz": "values_hz", "stop_hz": "values_hz",
            "points": "values_hz", "coupling_hz": "gamma_e_hz"}
+# SystemParams' rules across rates: these rates' product, and sum, must be finite in rad/s
+_JOINT = ((("kappa_cav_1", "kappa_cav_2"), math.prod,
+           f"a product of at most {angular_to_hz(_MAX_HZ):.3g} Hz^2"),
+          (("kappa_cav_1", "kappa_cav_2", "kappa_cav_loss"), sum,
+           f"a sum of at most {_MAX_HZ:.3g} Hz"))
 
 
 def _refused(cp, section, key, why):
@@ -131,6 +137,10 @@ def _unknown(where, name, what, known):
     """The ConfigError for an unknown section or key, naming the closest known one."""
     (closest,) = difflib.get_close_matches(name, known, n=1, cutoff=0.0)
     return ConfigError(f"{where}: unknown {what}; did you mean {closest!r}?")
+
+
+def _listed(items):
+    return ", ".join(items[:-1]) + " and " + items[-1]
 
 
 def _value(cp, section, key, kind, rule, default):
@@ -196,7 +206,15 @@ def _read(cp, table, preset=None):
         for a, b in _EITHER.items():
             if cp.has_option(section, a) and cp.has_option(section, b):
                 raise ConfigError(f"{section}: give {a} or {b}, not both")
-    values["params"] = SystemParams(**{key[:-3]: v for key, v in values["params"].items()})
+    params = values["params"]
+    for names, combine, bound in _JOINT:
+        keys = [f"{name}_hz" for name in names]
+        if combine(params[key] for key in keys) == math.inf:
+            got = [cp.get("params", key) if cp.has_option("params", key)
+                   else repr(angular_to_hz(params[key])) for key in keys]  # from --preset
+            raise ConfigError(f"{_listed([f'params.{key}' for key in keys])}: "
+                              f"must have {bound}, got {_listed(got)}")
+    values["params"] = SystemParams(**{key[:-3]: v for key, v in params.items()})
     return values
 
 

@@ -62,6 +62,9 @@ class SystemParams:
     g : float
         Cavity-LC coupling rate.
 
+    Besides each field's own rule, the port rates must have a finite product
+    kappa_cav_1 kappa_cav_2, and the three cavity rates a finite sum
+    ``kappa_cav_tot``; either overflow raises InvalidInputError naming the rates.
     Instances are immutable; derive variants with :meth:`replace`.
     """
 
@@ -83,6 +86,11 @@ class SystemParams:
             raise InvalidInputError(
                 "kappa_cav_1 and kappa_cav_2 must have a finite product in (rad/s)^2, "
                 f"got {self.kappa_cav_1!r} and {self.kappa_cav_2!r}"
+            )
+        if self.kappa_cav_tot == math.inf:  # the cavity linewidth every rate divides by
+            raise InvalidInputError(
+                "kappa_cav_1, kappa_cav_2 and kappa_cav_loss must have a finite sum in rad/s, "
+                f"got {self.kappa_cav_1!r}, {self.kappa_cav_2!r} and {self.kappa_cav_loss!r}"
             )
         if _ultrastrong(self.omega_cav, self.omega_lc, self.g):
             _warn_ultrastrong()

@@ -145,39 +145,42 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     library's own check raises for that value.
     """
     base, name, targets = spec.base_params, spec.swept_field, spec.targets
-    x = hz_to_angular(np.array(spec.values_hz))
-    # the checks SystemParams (or effective_rates, for delta_eff) makes
-    valid = _RULES["finite" if name == "delta_eff" else _PARAM_RULE[name]](x)
-    if name in ("kappa_cav_1", "kappa_cav_2"):
-        other = base.kappa_cav_2 if name == "kappa_cav_1" else base.kappa_cav_1
-        with np.errstate(over="ignore", invalid="ignore"):
-            valid &= x * other < math.inf
-    x = np.where(valid, x, 0.0)  # refused values stay out of the arithmetic
     p = dict(zip(PARAM_FIELDS, _theta(base)))
-    n = x.size
-    if name == "delta_eff":
-        delta = x
-        noisy = [False] * n
-    else:
-        p[name] = x
-        # dressed_modes and SystemParams' warning test on every value at once
-        lam_cav, lam_lc, _, fifty_fifty = _dressed(*p.values())
-        delta = lam_cav.real - lam_lc.real
-        valid &= ~fifty_fifty & _RULES["finite"](delta)
-        noisy = _ultrastrong(p["omega_cav"], p["omega_lc"], p["g"])
-        noisy = noisy.tolist() if type(noisy) is np.ndarray else [noisy] * n
-    budget = _rate_budget(*(p[field] for field in RATE_FIELDS), delta)
-    ktot, keff1, keff2, _, lc_loss, lc_tot, fraction, _, diverges = budget
-    # effective_rates refuses diverging rates; DerivedRates, a fraction outside
-    # [0, 1] and a kappa_lc_tot that is not the exact sum
-    valid &= (~diverges & _RULES["in [0, 1]"](fraction)
-              & (lc_tot == keff1 + keff2 + lc_loss))
+    # The arrays overflow where effective_rates' floats do, and only on values
+    # that the masks below refuse or handle: like the floats, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = hz_to_angular(np.array(spec.values_hz))
+        # the checks SystemParams (or effective_rates, for delta_eff) makes
+        valid = _RULES["finite" if name == "delta_eff" else _PARAM_RULE[name]](x)
+        if name in ("kappa_cav_1", "kappa_cav_2"):
+            k = {**p, name: x}
+            valid &= ((k["kappa_cav_1"] * k["kappa_cav_2"] < math.inf)
+                      & (k["kappa_cav_1"] + k["kappa_cav_2"] + k["kappa_cav_loss"] < math.inf))
+        x = np.where(valid, x, 0.0)  # refused values stay out of the arithmetic
+        n = x.size
+        if name == "delta_eff":
+            delta = x
+            noisy = [False] * n
+        else:
+            p[name] = x
+            # dressed_modes and SystemParams' warning test on every value at once
+            lam_cav, lam_lc, _, fifty_fifty = _dressed(*p.values())
+            delta = lam_cav.real - lam_lc.real
+            valid &= ~fifty_fifty & _RULES["finite"](delta)
+            noisy = _ultrastrong(p["omega_cav"], p["omega_lc"], p["g"])
+            noisy = noisy.tolist() if type(noisy) is np.ndarray else [noisy] * n
+        budget = _rate_budget(*(p[field] for field in RATE_FIELDS), delta)
+        ktot, keff1, keff2, _, lc_loss, lc_tot, fraction, _, diverges = budget
+        # effective_rates refuses diverging rates; DerivedRates, a fraction outside
+        # [0, 1] and a kappa_lc_tot that is not the exact sum
+        valid &= (~diverges & _RULES["in [0, 1]"](fraction)
+                  & (lc_tot == keff1 + keff2 + lc_loss))
 
-    lo, hi = targets.coupling_band_hz
-    keff1_hz = angular_to_hz(keff1)
-    ratio = resolved_sideband_ratio(
-        np.where(valid, lc_tot, 0.0), hz_to_angular(targets.omega_m_hz)
-    )
+        lo, hi = targets.coupling_band_hz
+        keff1_hz = angular_to_hz(keff1)
+        ratio = resolved_sideband_ratio(
+            np.where(valid, lc_tot, 0.0), hz_to_angular(targets.omega_m_hz)
+        )
     # delta has one entry per value, and so has every budget column that
     # follows it; only kappa_cav_tot can be one scalar for the whole sweep
     ktot = ktot.tolist() if type(ktot) is np.ndarray else [ktot] * n

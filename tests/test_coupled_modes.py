@@ -110,6 +110,16 @@ class TestSystemParams:
         assert np.isfinite(s21(p.replace(kappa_cav_1=1e154, kappa_cav_2=1e154),
                                [6.9e9, 7e9]).values).all()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cavity_rates_whose_sum_overflows_refused(self):
+        # every cavity rate is divided by kappa_cav_tot: a sum that overflows
+        # is refused naming the three rates, not later as a NaN detuning
+        p = reference_params().replace(kappa_cav_2=0.0)
+        with pytest.raises(InvalidInputError, match=r"^kappa_cav_1, kappa_cav_2 and "
+                           r"kappa_cav_loss must have a finite sum"):
+            effective_rates(p.replace(kappa_cav_1=1e308, kappa_cav_loss=1e308))
+        assert np.isfinite(p.replace(kappa_cav_1=1e308, kappa_cav_loss=7e307).kappa_cav_tot)
+
     def test_kappa_cav_tot_is_port_sum(self):
         p = reference_params()
         expected = p.kappa_cav_1 + p.kappa_cav_2 + p.kappa_cav_loss

@@ -530,6 +530,24 @@ class TestArraySweepMatchesScalarPath:
             assert [row.valid for row in result.rows] == [True, False, True]
             assert "must have a finite product" in result.rows[1].message
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cavity_rates_whose_sum_overflows(self):
+        # SystemParams refuses kappa_cav_tot = inf, and so does the sweep's
+        # mask; the other port is closed, so the product stays finite
+        for field, other in (("kappa_cav_1", "kappa_cav_2"), ("kappa_cav_2", "kappa_cav_1")):
+            base = DESIGN_PRESET.replace(**{other: 0.0, "kappa_cav_loss": 1e308})
+            result, _ = assert_sweep_matches_scalar(base, field, (150e6, 2.8e307, 5e6))
+            assert [row.valid for row in result.rows] == [True, False, True]
+            assert "must have a finite sum" in result.rows[1].message
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_port_rate_whose_square_overflows_is_quiet(self):
+        # the design has no port 2, so a 1e300 Hz kappa_cav_1 passes the
+        # product rule but overflows the budget's squares: the scalar path
+        # warns nothing there, and neither does the sweep
+        result, _ = assert_sweep_matches_scalar(DESIGN_PRESET, "kappa_cav_1", (150e6, 1e300))
+        assert [row.valid for row in result.rows] == [True, True]
+
 class TestCheckedRows:
     def test_rows_are_the_constructed_instances(self):
         # rows and rates built from the checked columns are what the public
@@ -553,15 +571,14 @@ class TestCheckedRows:
                 with pytest.raises(FrozenInstanceError):
                     setattr(built, fields(built)[0].name, 0.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_fraction_of_two_infinite_rates_refused(self):
         # g^2 overflows, so every rate is inf at a finite detuning and the
         # dissipation fraction inf/inf is NaN; the exact sum inf == inf holds,
         # so the sweep's fraction mask alone refuses these rows, as
-        # DerivedRates does
+        # DerivedRates does, and as quietly as the scalar path
         with pytest.warns(ValidityWarning):
             base = HAT_PRESETS["hat270"].replace(g=1e160)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # numpy's inf/inf
-            rows = run_sweep(SweepSpec(base, "delta_eff", (0.0, 520e6))).rows
+        rows = run_sweep(SweepSpec(base, "delta_eff", (0.0, 520e6))).rows
         assert [row.message for row in rows] == [
             "dissipation_fraction must be in [0, 1], got nan"] * 2
